@@ -11,6 +11,7 @@ from repro.core.metrics import pair_f1
 from repro.core.synthesis import compile_candidate, generate_candidates
 from repro.core.ws import fit_label_model
 from repro.lakes import registry
+from repro.llm.mock_llm import MockLLM
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +22,10 @@ def fda_lake():
 @pytest.fixture(scope="module")
 def fda_candidates(fda_lake):
     ids = sorted(fda_lake.docs.doc_id)[:5]
+    llm = MockLLM(fda_lake, "davinci")
     cands = []
     for attr in fda_lake.gold_attrs[:4]:
-        cands.extend(generate_candidates(fda_lake, attr, sample_ids=ids))
+        cands.extend(generate_candidates(fda_lake, llm, attr, sample_ids=ids))
     return cands
 
 

@@ -17,9 +17,14 @@ from repro.harness.tables import HarnessConfig, to_markdown
 
 
 def build_session(app: str) -> SparkSession:
-    """SparkSession for standalone job runs (pytest uses conftest's)."""
+    """The one SparkSession recipe: jobs, ``run_all``, and pytest's fixture.
+
+    Broadcast joins are disabled so the shuffle path is what runs; these
+    pipelines are join-light (votes x weights, pred x gold).
+    """
     return (
         SparkSession.builder.appName(app)
+        .config("spark.ui.showConsoleProgress", "false")
         .config("spark.sql.shuffle.partitions", "16")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)

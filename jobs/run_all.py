@@ -4,13 +4,9 @@ Run from the repo root: ``python jobs/run_all.py``.
 """
 import time
 import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS)
-from pyspark.sql import SparkSession
+from jobs._common import build_session
 
-spark = (SparkSession.builder.appName("run-all")
-         .config("spark.sql.shuffle.partitions", "16")
-         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-         .config("spark.sql.autoBroadcastJoinThreshold", -1)
-         .getOrCreate())
+spark = build_session("run-all")
 spark.sparkContext.setLogLevel("ERROR")
 
 from repro.harness import tables

@@ -38,7 +38,6 @@ def _window_quality(lake: DataLake, text: str) -> float:
 def run_qa_span_baseline(lake: DataLake, seed: int = 0) -> pd.DataFrame:
     """ClosedIE predictions for the gold schema, value-by-value."""
     rows = []
-    text_of = dict(zip(lake.docs.doc_id, lake.docs.text))
     gold = {(r.doc_id, r.attribute): r.value for r in lake.gold.itertuples()}
     for r in lake.docs.itertuples():
         q = _window_quality(lake, r.text)
@@ -59,7 +58,7 @@ def run_qa_span_baseline(lake: DataLake, seed: int = 0) -> pd.DataFrame:
                 continue  # predicted no-answer
             else:
                 # wrong span: grabs neighbouring prose
-                ctx = re.sub(r"<[^>]+>", " ", text_of[r.doc_id])
+                ctx = re.sub(r"<[^>]+>", " ", r.text)
                 start = int(hash_uniform("qa-span", seed, r.doc_id, attr) * max(1, len(ctx) - 60))
                 rows.append((r.doc_id, attr, " ".join(ctx[start:start + 50].split()[:6])))
     return pd.DataFrame(rows, columns=["doc_id", "attribute", "value"])

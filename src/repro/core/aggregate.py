@@ -3,15 +3,15 @@
 Steps, mapped to the paper's pseudocode:
   2. Collect sample predictions — votes on D_eval + LLM F labels.
   3. Handle abstentions — estimate ``e`` = fraction of D_eval docs where
-     F extracts a value; e > tau means empty function outputs are
-     *abstentions*, e <= tau means they are *predictions of no-value*.
+     F extracts a value; e > TAU means empty function outputs are
+     *abstentions*, e <= TAU means they are *predictions of no-value*.
   4. Score functions — Text-F1 agreement with F's labels; in the high-e
      regime a function is scored only where it extracted a value (so
      high-precision / low-recall variant-specific functions survive).
   5. Filter — drop s_j <= 0.5 (worse-than-random, the WS assumption),
-     keep the top-m scorers.
+     keep the TOP_M best scorers.
   6. Collect votes — full-lake function execution (``execute.py``).
-  7. Aggregation — per-document top-b vote bucketing, then the WS label
+  7. Aggregation — per-document top-B vote bucketing, then the WS label
      model's accuracy-weighted vote (or plain MV for the baseline),
      executed as Spark groupBy/window over the votes DataFrame.
 """
@@ -25,23 +25,23 @@ from pyspark.sql import functions as F
 
 from repro.core.metrics import text_f1_strings
 from repro.core.synthesis import Candidate
-from repro.core.ws import fit_label_model, majority_vote
+from repro.core.ws import B, fit_label_model
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import CHATBOT_REFUSAL, MockLLM
 from repro.llm.tokens import TokenLedger
 
 
+TAU = 0.5  # e above this: empty function outputs are abstentions
+TOP_M = 10  # functions kept per attribute (the paper's top-10)
+
+
 @dataclass(frozen=True)
 class AggConfig:
-    """Aggregation strategy knobs (Table 4 ablation axes)."""
+    """Aggregation strategy (Table 4 ablation axes)."""
 
     method: str = "ws"  # "ws" | "mv"
     use_filter: bool = True
     use_abstain: bool = True
-    tau: float = 0.5
-    top_m: int = 10
-    b: int = 4
-    n_eval: int = 10
 
 
 # Table 4 columns
@@ -62,7 +62,7 @@ class AttrPlan:
     scores: dict[str, float]
     kept: list[str]
     weights: dict[str, float]
-    drop_empty: bool  # e > tau and abstentions enabled
+    drop_empty: bool  # e > TAU and abstentions enabled
 
     @property
     def alive(self) -> bool:
@@ -74,10 +74,9 @@ def eval_labels(
     ledger: TokenLedger,
 ) -> dict[str, str]:
     """LLM F extractions on D_eval — Algorithm 1's pseudo ground truth."""
-    doc_text = dict(zip(lake.docs.doc_id, lake.docs.text))
     out: dict[str, str] = {}
     for d in eval_ids:
-        ctx = llm.mention_chunk(attr, doc_text[d])
+        ctx = llm.mention_chunk(attr, lake.doc_text[d])
         v, t = llm.closed_extract(d, attr, ctx)
         ledger.add("eval_labels", t)
         out[d] = "" if v == CHATBOT_REFUSAL else v
@@ -106,7 +105,7 @@ def score_and_plan(
     # means abstain). With it, the regime is e-conditional: high-e keeps
     # fired-only precision scoring; low-e scores over all of D_eval so
     # empty-on-absent counts as correct and fire-on-absent is penalized.
-    fired_only = (not cfg.use_abstain) or e > cfg.tau
+    fired_only = (not cfg.use_abstain) or e > TAU
     scores: dict[str, float] = {}
     for fid in fids:
         ms: list[float] = []
@@ -119,15 +118,15 @@ def score_and_plan(
 
     if cfg.use_filter:
         kept = [f for f in fids if scores[f] > 0.5]
-        kept = sorted(kept, key=lambda f: (-scores[f], f))[: cfg.top_m]
+        kept = sorted(kept, key=lambda f: (-scores[f], f))[:TOP_M]
     else:
-        kept = sorted(fids, key=lambda f: (-scores[f], f))[: cfg.top_m]
+        kept = sorted(fids, key=lambda f: (-scores[f], f))[:TOP_M]
 
     # Voting: off-the-shelf MV/WS treat empty outputs as abstentions
     # (Snorkel convention). With abstention handling, empties become
     # *no-value predictions* in the low-e regime, letting the ensemble
     # actively suppress hallucinated values for absent attributes.
-    drop_empty = e > cfg.tau if cfg.use_abstain else True
+    drop_empty = e > TAU if cfg.use_abstain else True
     weights = {f: 1.0 for f in kept}
     if cfg.method == "ws" and kept:
         av = votes_all[(votes_all.attribute == attr) & votes_all.fid.isin(kept)]
@@ -137,8 +136,8 @@ def score_and_plan(
             if not val and drop_empty:
                 continue  # abstention
             votes.setdefault(r.doc_id, {})[r.fid] = val
-        votes = {d: _top_b(v, cfg.b) for d, v in votes.items()}
-        model = fit_label_model(votes, kept, n_classes=cfg.b)
+        votes = {d: _top_b(v, B) for d, v in votes.items()}
+        model = fit_label_model(votes, kept)
         weights = {f: model.weight(f) for f in kept}
     return AttrPlan(attr, e, scores, kept, weights, drop_empty)
 
@@ -156,12 +155,11 @@ def aggregate_votes_spark(
     spark: SparkSession,
     votes: DataFrame,
     plans: dict[str, AttrPlan],
-    cfg: AggConfig,
 ) -> DataFrame:
     """Step 7 at scale: weighted vote per (doc, attribute) in Spark.
 
     Joins the votes DataFrame with the per-function weight table, applies
-    the abstention rule and per-document top-b bucketing with window
+    the abstention rule and per-document top-B bucketing with window
     functions, and picks the argmax-weight value per cell. Returns
     ``(doc_id, attribute, value)`` with empty/no-vote cells absent.
     """
@@ -188,7 +186,7 @@ def aggregate_votes_spark(
     bucketed = counts.withColumn(
         "bucket_rank",
         F.row_number().over(cell.orderBy(F.desc("n"), F.asc("value"))),
-    ).filter(F.col("bucket_rank") <= cfg.b)
+    ).filter(F.col("bucket_rank") <= B)
 
     winner = bucketed.withColumn(
         "rank",
@@ -215,5 +213,5 @@ def aggregate_single_function(
 
 __all__ = [
     "AggConfig", "AGGREGATORS", "AttrPlan", "eval_labels", "score_and_plan",
-    "aggregate_votes_spark", "aggregate_single_function", "majority_vote",
+    "aggregate_votes_spark", "aggregate_single_function",
 ]

@@ -16,14 +16,14 @@ from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import aggregate as agg
-from repro.core.schema import SchemaResult, sample_doc_ids, synthesize_schema
+from repro.core.schema import (N_SCHEMA_SAMPLE, SchemaResult, sample_doc_ids,
+                               synthesize_schema)
 from repro.core.synthesis import Candidate, generate_candidates
 from repro.core.execute import run_functions
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 
-N_SCHEMA_SAMPLE = 10  # docs for schema synthesis + D_eval (paper §4.1)
 N_FN_SAMPLE = 5  # docs whose chunks seed function synthesis (§4.4.1)
 
 
@@ -48,8 +48,7 @@ class CodeArtifacts:
     """Everything the code pipelines share before aggregation."""
 
     lake: DataLake
-    model: str
-    seed: int
+    llm: MockLLM
     attrs: list[str]
     candidates: list[Candidate]
     votes: object  # persisted Spark DataFrame (doc_id, attribute, fid, value)
@@ -65,6 +64,18 @@ class CodeArtifacts:
         self.votes.unpersist()
 
 
+def _schema_attrs(
+    lake: DataLake, llm: MockLLM, given_attrs: list[str] | None,
+    ledger: TokenLedger,
+) -> tuple[list[str], SchemaResult | None]:
+    """The given ClosedIE schema, or the head of the synthesized one."""
+    if given_attrs is not None:
+        return list(given_attrs), None
+    schema = synthesize_schema(lake, llm)
+    ledger.merge(schema.ledger)
+    return schema.ranked_attrs[: len(lake.gold_attrs)], schema
+
+
 def prepare_code(
     spark: SparkSession,
     lake: DataLake,
@@ -72,31 +83,19 @@ def prepare_code(
     seed: int = 0,
     given_attrs: list[str] | None = None,
     doc_ids: list[str] | None = None,
-    n_eval: int = N_SCHEMA_SAMPLE,
-    n_fn_docs: int = N_FN_SAMPLE,
 ) -> CodeArtifacts:
     """Schema (unless ClosedIE), candidates, votes, and D_eval labels."""
     ledger = TokenLedger()
     llm = MockLLM(lake, model, seed)
+    attrs, schema = _schema_attrs(lake, llm, given_attrs, ledger)
 
-    schema: SchemaResult | None = None
-    if given_attrs is not None:
-        attrs = list(given_attrs)
-    else:
-        schema = synthesize_schema(lake, model, seed, k_sample=N_SCHEMA_SAMPLE)
-        ledger.merge(schema.ledger)
-        attrs = schema.ranked_attrs[: len(lake.gold_attrs)]
+    fn_ids = sample_doc_ids(lake, N_FN_SAMPLE)
+    candidates = [
+        c for a in attrs
+        for c in generate_candidates(lake, llm, a, sample_ids=fn_ids, ledger=ledger)
+    ]
 
-    fn_ids = sample_doc_ids(lake, n_fn_docs)
-    candidates: list[Candidate] = []
-    for a in attrs:
-        candidates.extend(
-            generate_candidates(
-                lake, a, model=model, seed=seed, sample_ids=fn_ids, ledger=ledger
-            )
-        )
-
-    eval_ids = sample_doc_ids(lake, n_eval)
+    eval_ids = sample_doc_ids(lake, N_SCHEMA_SAMPLE)
     run_ids = None
     if doc_ids is not None:
         run_ids = sorted(set(doc_ids) | set(eval_ids))
@@ -108,7 +107,7 @@ def prepare_code(
         a: agg.eval_labels(lake, llm, a, eval_ids, ledger) for a in attrs
     }
     return CodeArtifacts(
-        lake=lake, model=model, seed=seed, attrs=attrs, candidates=candidates,
+        lake=lake, llm=llm, attrs=attrs, candidates=candidates,
         votes=votes, votes_all=votes_all, votes_eval=votes_eval, labels=labels,
         eval_ids=eval_ids, doc_ids=doc_ids, ledger=ledger, schema=schema,
     )
@@ -118,11 +117,9 @@ def finish_code_plus(
     spark: SparkSession,
     art: CodeArtifacts,
     aggregator: str = "ws_abstain_filter",
-    validate: bool = True,
 ) -> RunResult:
     """Algorithm-1 aggregation on prepared artifacts -> structured view."""
     cfg = agg.AGGREGATORS[aggregator]
-    llm = MockLLM(art.lake, art.model, art.seed)
     ledger = TokenLedger().merge(art.ledger)
 
     plans: dict[str, agg.AttrPlan] = {}
@@ -131,14 +128,14 @@ def finish_code_plus(
             art.lake, a, art.candidates, art.votes_eval, art.labels[a],
             art.votes_all, cfg,
         )
-        if validate and plan.alive:
+        if plan.alive:
             sample_vals = [
                 v for v in art.votes_all[
                     (art.votes_all.attribute == a)
                     & art.votes_all.fid.isin(plan.kept)
                 ].value.tolist() if v
             ][:5]
-            ok, t = llm.validate_attribute(a, sample_vals)
+            ok, t = art.llm.validate_attribute(a, sample_vals)
             ledger.add("validation", t)
             if not ok:
                 plan.kept = []
@@ -147,7 +144,7 @@ def finish_code_plus(
     votes = art.votes
     if art.doc_ids is not None:
         votes = votes.filter(F.col("doc_id").isin(set(art.doc_ids)))
-    table = agg.aggregate_votes_spark(spark, votes, plans, cfg).toPandas()
+    table = agg.aggregate_votes_spark(spark, votes, plans).toPandas()
     return RunResult(
         mode="code_plus", table=table, attrs=[a for a in art.attrs if plans[a].alive],
         ledger=ledger, schema=art.schema, plans=plans,
@@ -161,13 +158,11 @@ def run_code_plus(
     seed: int = 0,
     given_attrs: list[str] | None = None,
     doc_ids: list[str] | None = None,
-    aggregator: str = "ws_abstain_filter",
-    validate: bool = True,
 ) -> RunResult:
     """EVAPORATE-CODE+ end-to-end (§3.3)."""
     art = prepare_code(spark, lake, model, seed, given_attrs, doc_ids)
     try:
-        return finish_code_plus(spark, art, aggregator, validate)
+        return finish_code_plus(spark, art)
     finally:
         art.unpersist()
 
@@ -183,22 +178,16 @@ def run_code(
     """EVAPORATE-CODE (§3.2): a single synthesized function per attribute,
     no scoring, no filtering, no ensembling."""
     ledger = TokenLedger()
-    schema: SchemaResult | None = None
-    if given_attrs is not None:
-        attrs = list(given_attrs)
-    else:
-        schema = synthesize_schema(lake, model, seed, k_sample=N_SCHEMA_SAMPLE)
-        ledger.merge(schema.ledger)
-        attrs = schema.ranked_attrs[: len(lake.gold_attrs)]
+    llm = MockLLM(lake, model, seed)
+    attrs, schema = _schema_attrs(lake, llm, given_attrs, ledger)
 
+    # one sample doc x one prompt style -> one candidate per attribute
     first_doc = sample_doc_ids(lake, 1)
-    candidates: list[Candidate] = []
-    for a in attrs:
-        cands = generate_candidates(
-            lake, a, model=model, seed=seed, sample_ids=first_doc,
-            styles=("A",), ledger=ledger,
-        )
-        candidates.extend(cands[:1])
+    candidates = [
+        c for a in attrs
+        for c in generate_candidates(lake, llm, a, sample_ids=first_doc,
+                                     styles=("A",), ledger=ledger)
+    ]
 
     votes = run_functions(spark, lake, candidates, doc_ids)
     attr_to_fid = {c.attribute: c.fid for c in candidates}

@@ -17,6 +17,7 @@ from repro.llm.tokens import TokenLedger
 from repro.util import normalize_attr
 
 UPWEIGHT = 3.0  # multiplicative boost for LLM-endorsed attributes (§3.2.1)
+N_SCHEMA_SAMPLE = 10  # docs for schema synthesis + D_eval (paper §4.1)
 
 
 @dataclass
@@ -28,31 +29,23 @@ class SchemaResult:
     ledger: TokenLedger = field(default_factory=TokenLedger)
 
 
-def sample_doc_ids(lake: DataLake, k: int, *, offset: int = 0) -> list[str]:
+def sample_doc_ids(lake: DataLake, k: int) -> list[str]:
     """Deterministic evenly-spaced sample of k document ids."""
     ids = sorted(lake.docs.doc_id)
     if k >= len(ids):
         return ids
     step = len(ids) / k
-    return [ids[min(len(ids) - 1, int(i * step) + offset)] for i in range(k)]
+    return [ids[min(len(ids) - 1, int(i * step))] for i in range(k)]
 
 
-def synthesize_schema(
-    lake: DataLake,
-    model: str = "davinci",
-    seed: int = 0,
-    k_sample: int = 10,
-) -> SchemaResult:
-    """Run schema synthesis over a k-document sample (driver-side: the
-    sample is tiny by design; the scale-out work is elsewhere)."""
-    llm = MockLLM(lake, model, seed)
+def synthesize_schema(lake: DataLake, llm: MockLLM) -> SchemaResult:
+    """Run schema synthesis over an N_SCHEMA_SAMPLE-document sample
+    (driver-side: the sample is tiny by design; the scale-out work is
+    elsewhere)."""
     ledger = TokenLedger()
-    ids = sample_doc_ids(lake, k_sample)
-    doc_text = dict(zip(lake.docs.doc_id, lake.docs.text))
-
     counts: dict[str, int] = {}
-    for doc_id in ids:
-        chunks = split_chunks(doc_text[doc_id])
+    for doc_id in sample_doc_ids(lake, N_SCHEMA_SAMPLE):
+        chunks = split_chunks(lake.doc_text[doc_id])
         seen: set[str] = set()
         for ci, ch in enumerate(chunks):
             pairs, t = llm.openie_extract(doc_id, ch, ci, len(chunks))

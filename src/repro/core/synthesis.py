@@ -1,18 +1,18 @@
 """Function synthesis (§3.2.2, §3.3.1): prompt the LLM to write extractors.
 
-For each attribute, Evaporate keyword-searches the lake for document
-portions mentioning the attribute, inserts those chunks into the two
-prompt templates P_A (regex, zero-shot) and P_B (two in-context
-examples), and collects the generated Python sources as *candidate
-functions*. Candidate diversity — across sample documents (formatting
-variants) and across prompt styles — is what Algorithm 1 later exploits.
+For each attribute, Evaporate keyword-searches the sample documents for
+the portions mentioning the attribute (``MockLLM.mention_chunk``),
+inserts those chunks into the two prompt templates P_A (regex,
+zero-shot) and P_B (two in-context examples), and collects the generated
+Python sources as *candidate functions*. Candidate diversity — across
+sample documents (formatting variants) and across prompt styles — is
+what Algorithm 1 later exploits.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from repro.core.chunk import split_chunks
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
@@ -29,24 +29,11 @@ class Candidate:
     fn_name: str
 
 
-def find_mention_chunk(lake: DataLake, llm: MockLLM, attr: str, doc_text: str) -> str:
-    """Keyword search for the document portion mentioning the attribute."""
-    surfaces = [s for s, c in lake.aliases.items() if c == (llm.canonical(attr) or attr)]
-    surfaces = sorted(set(surfaces + [attr]), key=len, reverse=True)
-    chunks = split_chunks(doc_text)
-    for ch in chunks:
-        for s in surfaces:
-            if re.search(re.escape(s), ch, re.IGNORECASE):
-                return ch
-    return chunks[0]
-
-
 def generate_candidates(
     lake: DataLake,
+    llm: MockLLM,
     attr: str,
     *,
-    model: str = "davinci",
-    seed: int = 0,
     sample_ids: list[str],
     styles: tuple[str, ...] = ("A", "B"),
     ledger: TokenLedger | None = None,
@@ -59,12 +46,10 @@ def generate_candidates(
     redundancy legitimately reinforces the majority under aggregation
     (the paper ensembles the top-10 candidates as-is).
     """
-    llm = MockLLM(lake, model, seed)
     ledger = ledger if ledger is not None else TokenLedger()
-    doc_text = dict(zip(lake.docs.doc_id, lake.docs.text))
     out: list[Candidate] = []
     for i, doc_id in enumerate(sample_ids):
-        chunk = find_mention_chunk(lake, llm, attr, doc_text[doc_id])
+        chunk = llm.mention_chunk(attr, lake.doc_text[doc_id])
         for style in styles:
             src, fn_name, t = llm.synthesize_function(attr, chunk, style, salt=doc_id)
             ledger.add("synthesis", t)

@@ -8,11 +8,9 @@ the one-coin assumption, needed because the "classes" (candidate value
 strings) differ per document.
 
 Fitting is EM over the collected vote matrix (driver-side: |docs| x
-|functions| is tiny after Algorithm 1's top-m filtering). Inference is
-an accuracy-weighted log-odds vote, applied at scale as a Spark
+the <= top-m functions Algorithm 1 keeps). Inference is an
+accuracy-weighted log-odds vote, applied at scale as a Spark
 join/groupBy in ``aggregate.py``.
-
-``majority_vote`` is the unsupervised baseline of Table 4.
 """
 from __future__ import annotations
 
@@ -20,7 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-ABSTAIN = None  # sentinel inside vote dicts
+B = 4  # classes per doc: Algorithm 1 keeps each doc's top-b value buckets
+N_ITER = 10  # EM iterations
 
 
 @dataclass
@@ -28,12 +27,13 @@ class LabelModel:
     """Learned per-function accuracies + vote weights."""
 
     accuracies: dict[str, float]
-    n_classes: int
 
     def weight(self, fid: str) -> float:
-        p = self.accuracies.get(fid, 0.5)
-        b = max(2, self.n_classes)
-        return math.log(p * (b - 1) / (1 - p))
+        return _log_odds(self.accuracies.get(fid, 0.5))
+
+
+def _log_odds(p: float) -> float:
+    return math.log(p * (B - 1) / (1 - p))
 
 
 def _clip(p: float, lo: float = 0.05, hi: float = 0.95) -> float:
@@ -41,10 +41,7 @@ def _clip(p: float, lo: float = 0.05, hi: float = 0.95) -> float:
 
 
 def fit_label_model(
-    votes: dict[str, dict[str, str]],
-    fids: list[str],
-    n_classes: int = 4,
-    n_iter: int = 10,
+    votes: dict[str, dict[str, str]], fids: list[str]
 ) -> LabelModel:
     """EM fit of one-coin accuracies from per-doc vote dicts.
 
@@ -55,18 +52,19 @@ def fit_label_model(
     """
     acc = {f: 0.7 for f in fids}
     if not votes:
-        return LabelModel(acc, n_classes)
-    b = max(2, n_classes)
-    for _ in range(n_iter):
-        # E-step: current best guess per doc via weighted vote
+        return LabelModel(acc)
+    for _ in range(N_ITER):
+        # E-step: current best guess per doc via weighted vote (acc is
+        # always within the clip bounds, so no clip is needed here)
+        weight = {f: _log_odds(p) for f, p in acc.items()}
+        unknown = _log_odds(0.5)
         guesses: dict[str, str] = {}
         for doc, v in votes.items():
             if not v:
                 continue
             scores: Counter = Counter()
             for fid, val in v.items():
-                p = _clip(acc.get(fid, 0.5))
-                scores[val] += math.log(p * (b - 1) / (1 - p))
+                scores[val] += weight.get(fid, unknown)
             guesses[doc] = max(sorted(scores), key=lambda k: scores[k])
         # M-step: per-function agreement with the guesses
         for fid in fids:
@@ -77,13 +75,5 @@ def fit_label_model(
                     n_hit += int(v[fid] == guesses[doc])
             if n_tot:
                 acc[fid] = _clip(n_hit / n_tot)
-    return LabelModel({f: _clip(p) for f, p in acc.items()}, n_classes)
+    return LabelModel({f: _clip(p) for f, p in acc.items()})
 
-
-def majority_vote(votes_for_doc: dict[str, str]) -> str:
-    """Plain majority vote (ties broken lexicographically for determinism)."""
-    if not votes_for_doc:
-        return ""
-    counts = Counter(votes_for_doc.values())
-    top = max(counts.values())
-    return sorted(v for v, c in counts.items() if c == top)[0]

@@ -23,6 +23,7 @@ from repro.core.schema import sample_doc_ids, synthesize_schema
 from repro.harness import paper
 from repro.lakes import registry
 from repro.lakes.base import DataLake
+from repro.llm.mock_llm import MockLLM
 
 GROUPS = list(registry.GROUPS)  # fda, enron, nba, swde_movie, swde_university
 
@@ -44,10 +45,6 @@ def _settings(cfg: HarnessConfig, group: str) -> list[str]:
     if cfg.sites_per_domain is not None and group.startswith("swde"):
         names = names[: cfg.sites_per_domain]
     return names
-
-
-def _lake(cfg: HarnessConfig, setting: str) -> DataLake:
-    return registry.make_lake(setting, cfg.n_docs)
 
 
 def _gold_df(spark: SparkSession, lake: DataLake, doc_ids=None):
@@ -75,7 +72,7 @@ def table1(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
     for group in cfg.groups:
         per_setting = []
         for s in _settings(cfg, group):
-            lake = _lake(cfg, s)
+            lake = registry.make_lake(s, cfg.n_docs)
             # ClosedIE: gold schema given, Code+ populates the table
             closed = evaporate.run_code_plus(
                 spark, lake, cfg.model, cfg.seed, given_attrs=lake.gold_attrs)
@@ -115,7 +112,7 @@ def table2(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
     for group in ("swde_movie", "swde_university"):
         per: dict[str, list[dict]] = {k: [] for k in ("dom", "direct", "code", "code_plus")}
         for s in _settings(cfg, group):
-            lake = _lake(cfg, s)
+            lake = registry.make_lake(s, cfg.n_docs)
             all_ids = sorted(lake.docs.doc_id)
             # in-domain trained DOM baseline (test split only)
             preds, attrs, test_ids = run_dom_baseline(spark, lake)
@@ -172,7 +169,7 @@ def table3(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
     for group in cfg.groups:
         per = []
         for s in _settings(cfg, group):
-            lake = _lake(cfg, s)
+            lake = registry.make_lake(s, cfg.n_docs)
             sample = sample_doc_ids(lake, cfg.sample_size)
             gold_s = _gold_df(spark, lake, sample)
             dr = run_direct(spark, lake, cfg.model, cfg.seed, doc_ids=sample)
@@ -217,7 +214,7 @@ def table4(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
     for group in cfg.groups:
         per: dict[str, list[float]] = {a: [] for a in aggs}
         for s in _settings(cfg, group):
-            lake = _lake(cfg, s)
+            lake = registry.make_lake(s, cfg.n_docs)
             gold = _gold_df(spark, lake)
             art = evaporate.prepare_code(spark, lake, cfg.model, cfg.seed)
             try:
@@ -253,7 +250,7 @@ def table5(spark: SparkSession, cfg: HarnessConfig | None = None,
         for group in cfg.groups:
             d_scores, c_scores = [], []
             for s in _settings(cfg, group):
-                lake = _lake(cfg, s)
+                lake = registry.make_lake(s, cfg.n_docs)
                 sample = sample_doc_ids(lake, cfg.sample_size)
                 gold_s = _gold_df(spark, lake, sample)
                 dr = run_direct(spark, lake, model, cfg.seed, doc_ids=sample)
@@ -261,7 +258,7 @@ def table5(spark: SparkSession, cfg: HarnessConfig | None = None,
                 cp = evaporate.run_code_plus(spark, lake, model, cfg.seed,
                                              doc_ids=sample)
                 c_scores.append(100 * pair_f1(_pred_df(spark, cp.table), gold_s).f1)
-                sr = synthesize_schema(lake, model, cfg.seed)
+                sr = synthesize_schema(lake, MockLLM(lake, model, cfg.seed))
                 schema_f1s.append(100 * schema_f1_at_k(sr.ranked_attrs, lake.gold_attrs))
             ref = paper.TABLE5[model]
             row[f"direct_{group}"] = round(sum(d_scores) / len(d_scores), 1)
@@ -284,7 +281,7 @@ def table6(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
         scores = []
         n_attrs = []
         for s in _settings(cfg, group):
-            lake = _lake(cfg, s)
+            lake = registry.make_lake(s, cfg.n_docs)
             preds = run_qa_span_baseline(lake, cfg.seed)
             scores.append(100 * closed_text_f1(
                 preds, lake.gold, lake.gold_attrs, sorted(lake.docs.doc_id)))
@@ -307,7 +304,7 @@ def table7(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
     for group in cfg.groups:
         per = []
         for s in _settings(cfg, group):
-            lake = _lake(cfg, s)
+            lake = registry.make_lake(s, cfg.n_docs)
             sample = sample_doc_ids(lake, cfg.sample_size)
             res = run_closed_direct(spark, lake, lake.gold_attrs, cfg.model,
                                     cfg.seed, doc_ids=sample)

@@ -19,9 +19,9 @@ mechanism behind the paper's "high precision / low recall functions".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.util import hash_rng, hash_uniform, normalize_attr
 
@@ -129,21 +129,10 @@ class DataLake:
     def n_docs(self) -> int:
         return len(self.docs)
 
-    def docs_df(self, spark: SparkSession) -> DataFrame:
-        """The document collection as a Spark DataFrame."""
-        return spark.createDataFrame(self.docs)
-
-    def gold_df(self, spark: SparkSession) -> DataFrame:
-        return spark.createDataFrame(self.gold)
-
-    def gold_for(self, doc_id: str) -> dict[str, str]:
-        sub = self.gold[self.gold.doc_id == doc_id]
-        return dict(zip(sub.attribute, sub.value))
-
-    def alias_pool(self, attr: str) -> list[str]:
-        """All known surface forms for ``attr`` (for LLM rewording noise)."""
-        pool = [s for s, c in self.aliases.items() if c == attr]
-        return sorted(set(pool + [attr]))
+    @cached_property
+    def doc_text(self) -> dict[str, str]:
+        """``doc_id -> text``, built once per lake (driver-side only)."""
+        return dict(zip(self.docs.doc_id, self.docs.text))
 
 
 # ---------------------------------------------------------------------------

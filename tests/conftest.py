@@ -9,6 +9,7 @@ import pytest
 
 from repro.lakes import registry
 from repro.lakes.base import DataLake
+from repro.llm.mock_llm import MockLLM
 
 SMALL_N = 24
 
@@ -16,6 +17,11 @@ SMALL_N = 24
 @pytest.fixture(scope="session")
 def fda_lake() -> DataLake:
     return registry.make_lake("fda", SMALL_N)
+
+
+@pytest.fixture(scope="session")
+def fda_llm(fda_lake) -> MockLLM:
+    return MockLLM(fda_lake, "davinci")
 
 
 @pytest.fixture(scope="session")

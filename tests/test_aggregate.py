@@ -103,9 +103,8 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", fids)
         labels = {"d0": "v"}
         rows = [("d0", "a", f, "v") for f in fids]
-        cfg = AggConfig(top_m=10)
         plan = score_and_plan(None, "a", cands, _votes(rows), labels,
-                              _votes(rows), cfg)
+                              _votes(rows), AggConfig())
         assert len(plan.kept) == 10
 
     def test_dead_attribute(self):
@@ -138,7 +137,7 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {"f1": 5.0, "f2": 1.0, "f3": 1.0}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.value.tolist() == ["right"]
 
     def test_mv_equal_weights_majority(self, spark):
@@ -148,7 +147,7 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {"f1": 1.0, "f2": 1.0, "f3": 1.0}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig(method="mv")).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.value.tolist() == ["x"]
 
     def test_drop_empty_abstains(self, spark):
@@ -158,7 +157,7 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {f: 1.0 for f in ("f1", "f2", "f3")}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.value.tolist() == ["val"]
 
     def test_keep_empty_can_suppress(self, spark):
@@ -170,13 +169,13 @@ class TestSparkAggregation:
         ]))
         plans = {"a": AttrPlan("a", 0.0, {}, ["f1", "f2", "f3"],
                                {f: 1.0 for f in ("f1", "f2", "f3")}, False)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.empty  # "" wins the cell and is not emitted
 
     def test_no_alive_plans_empty_result(self, spark):
         votes = spark.createDataFrame(_votes([("d1", "a", "f1", "x")]))
         plans = {"a": AttrPlan("a", 1.0, {}, [], {}, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig()).toPandas()
+        out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.empty
 
     def test_matches_duckdb_oracle(self, spark):
@@ -190,7 +189,7 @@ class TestSparkAggregation:
         votes = spark.createDataFrame(votes_pd)
         weights = {"f1": 2.0, "f2": 1.0, "f3": 1.5}
         plans = {"a": AttrPlan("a", 1.0, {}, list(weights), weights, True)}
-        out = aggregate_votes_spark(spark, votes, plans, AggConfig(b=4))
+        out = aggregate_votes_spark(spark, votes, plans)
         weights_pd = pd.DataFrame(
             [(f, w) for f, w in weights.items()], columns=["fid", "weight"])
         assert_equivalent(
@@ -222,3 +221,27 @@ class TestSingleFunction:
         votes = spark.createDataFrame(_votes([("d1", "a", "f1", "x")]))
         out = aggregate_single_function(votes, {}).toPandas()
         assert out.empty
+
+
+class TestOracle:
+    """``repro.oracle`` must reject a wrong result, not only accept a
+    right one (the positive case is ``test_matches_duckdb_oracle``)."""
+
+    SQL = "SELECT fid, COUNT(*) AS cnt FROM votes GROUP BY fid"
+
+    @pytest.fixture
+    def votes_pd(self):
+        return _votes([("d1", "a", "f1", "x"), ("d2", "a", "f1", "y"),
+                       ("d1", "a", "f2", "x")])
+
+    def test_detects_wrong_result(self, spark, votes_pd):
+        bad = spark.createDataFrame(votes_pd).groupBy("fid").agg(
+            (F.count("*") + 1).alias("cnt"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(bad, self.SQL, votes=votes_pd)
+
+    def test_detects_column_mismatch(self, spark, votes_pd):
+        agg = spark.createDataFrame(votes_pd).groupBy("fid").agg(
+            F.count("*").alias("wrong_name"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(agg, self.SQL, votes=votes_pd)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import evaporate
 from repro.core.metrics import closed_text_f1, pair_f1
+from repro.llm.mock_llm import MockLLM
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +130,40 @@ class TestModelSweep:
         prf = pair_f1(spark.createDataFrame(res.table),
                       spark.createDataFrame(enron_lake.gold))
         assert prf.f1 > 0.6
+
+
+class TestOneLLMPerRun:
+    def test_run_code_plus_builds_one_mock_llm(self, spark, enron_lake, monkeypatch):
+        """MockLLM is a pure function of its constructor arguments, so a
+        run builds it once and hands it to every stage."""
+        calls = []
+        init = MockLLM.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MockLLM, "__init__", counting_init)
+        evaporate.run_code_plus(spark, enron_lake)
+        assert len(calls) == 1
+
+
+class TestPartitionInvariance:
+    def test_code_plus_independent_of_shuffle_partitions(self, spark, enron_lake):
+        """Tables and tokens do not depend on how Spark shuffles the votes."""
+        def run():
+            res = evaporate.run_code_plus(spark, enron_lake)
+            table = res.table.sort_values(["doc_id", "attribute"]).reset_index(drop=True)
+            return table, res.tokens
+
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        want_table, want_tokens = run()
+        try:
+            for n in (1, 7, 64):
+                spark.conf.set(key, str(n))
+                table, tokens = run()
+                assert table.equals(want_table), n
+                assert tokens == want_tokens, n
+        finally:
+            spark.conf.set(key, before)

@@ -76,11 +76,6 @@ class TestGroupStructure:
         with pytest.raises(KeyError):
             registry.make_lake("nope", 5)
 
-    def test_group_lakes(self):
-        lakes = registry.group_lakes("swde_university", 8)
-        assert len(lakes) == 5
-        assert len({l.name for l in lakes}) == 5
-
 
 class TestGoldSchemas:
     def test_fda_has_16_gold_attrs(self, fda_lake):
@@ -112,9 +107,6 @@ class TestAliases:
         # e.g. whatever label imdb uses for "director" normalizes to it
         surfaces = [s for s, c in movie_lake.aliases.items() if c == "director"]
         assert surfaces
-
-    def test_alias_pool_contains_canonical(self, fda_lake):
-        assert "510(k) number" in fda_lake.alias_pool("510(k) number")
 
 
 class TestHelpers:

@@ -1,53 +1,51 @@
 """Tests for candidate generation, compilation, and sandboxing."""
 import pytest
 
-from repro.core.synthesis import (Candidate, compile_candidate,
-                                  find_mention_chunk, generate_candidates)
-from repro.llm.mock_llm import MockLLM
+from repro.core.chunk import split_chunks
+from repro.core.synthesis import Candidate, compile_candidate, generate_candidates
 from repro.llm.tokens import TokenLedger
 
 
 class TestGenerateCandidates:
-    def test_count_is_docs_times_styles(self, fda_lake):
+    def test_count_is_docs_times_styles(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:5]
-        cands = generate_candidates(fda_lake, "applicant", sample_ids=ids)
+        cands = generate_candidates(fda_lake, fda_llm, "applicant", sample_ids=ids)
         assert len(cands) == 10  # 5 docs x 2 styles (paper's top-10 pool)
 
-    def test_single_style(self, fda_lake):
+    def test_single_style(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:3]
-        cands = generate_candidates(fda_lake, "applicant", sample_ids=ids,
+        cands = generate_candidates(fda_lake, fda_llm, "applicant", sample_ids=ids,
                                     styles=("A",))
         assert len(cands) == 3
         assert all(c.style == "A" for c in cands)
 
-    def test_fids_unique(self, fda_lake):
+    def test_fids_unique(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:5]
-        cands = generate_candidates(fda_lake, "panel", sample_ids=ids)
+        cands = generate_candidates(fda_lake, fda_llm, "panel", sample_ids=ids)
         fids = [c.fid for c in cands]
         assert len(fids) == len(set(fids))
 
-    def test_tokens_metered(self, fda_lake):
+    def test_tokens_metered(self, fda_lake, fda_llm):
         led = TokenLedger()
-        generate_candidates(fda_lake, "applicant",
+        generate_candidates(fda_lake, fda_llm, "applicant",
                             sample_ids=sorted(fda_lake.docs.doc_id)[:2],
                             ledger=led)
         assert led.by_stage["synthesis"] > 0
 
-    def test_deterministic(self, fda_lake):
+    def test_deterministic(self, fda_lake, fda_llm):
         ids = sorted(fda_lake.docs.doc_id)[:4]
-        a = generate_candidates(fda_lake, "classification", sample_ids=ids)
-        b = generate_candidates(fda_lake, "classification", sample_ids=ids)
+        a = generate_candidates(fda_lake, fda_llm, "classification", sample_ids=ids)
+        b = generate_candidates(fda_lake, fda_llm, "classification", sample_ids=ids)
         assert [c.source for c in a] == [c.source for c in b]
 
-    def test_pool_contains_working_function(self, fda_lake):
+    def test_pool_contains_working_function(self, fda_lake, fda_llm):
         """At least one candidate extracts the exact gold value on some doc."""
         ids = sorted(fda_lake.docs.doc_id)[:5]
-        cands = generate_candidates(fda_lake, "product code", sample_ids=ids)
-        llm = MockLLM(fda_lake, "davinci")
+        cands = generate_candidates(fda_lake, fda_llm, "product code", sample_ids=ids)
         for c in cands:
             fn = compile_candidate(c)
             for _, doc in fda_lake.docs.iterrows():
-                gold = llm.gold_pairs(doc.doc_id).get("product code")
+                gold = fda_llm.gold_pairs(doc.doc_id).get("product code")
                 if gold and fn(doc.text) == gold:
                     return
         pytest.fail("no working candidate in the pool")
@@ -97,19 +95,18 @@ class TestCompileCandidate:
 
 
 class TestFindMentionChunk:
-    def test_finds_chunk_with_label(self, fda_lake):
-        llm = MockLLM(fda_lake, "davinci")
+    """The keyword search that picks each synthesis prompt's chunk."""
+
+    def test_finds_chunk_with_label(self, fda_lake, fda_llm):
         doc = fda_lake.docs.iloc[0]
         # pick an attribute that is present in this document but NOT in
         # its first chunk, so the keyword search has to do real work
-        from repro.core.chunk import split_chunks
         chunks = split_chunks(doc.text)
-        gold = llm.gold_pairs(doc.doc_id)
+        gold = fda_llm.gold_pairs(doc.doc_id)
         attr = next(a for a in reversed(list(gold)) if gold[a] not in chunks[0])
-        ch = find_mention_chunk(fda_lake, llm, attr, doc.text)
+        ch = fda_llm.mention_chunk(attr, doc.text)
         assert attr in ch.lower() or gold[attr] in ch
 
-    def test_unknown_attr_falls_back(self, fda_lake):
-        llm = MockLLM(fda_lake, "davinci")
-        ch = find_mention_chunk(fda_lake, llm, "zzz unknown", "a\nb")
+    def test_unknown_attr_falls_back(self, fda_llm):
+        ch = fda_llm.mention_chunk("zzz unknown", "a\nb")
         assert ch == "a\nb"

@@ -1,7 +1,7 @@
-"""Tests for the one-coin Dawid-Skene label model and MV baseline."""
+"""Tests for the one-coin Dawid-Skene label model."""
 import pytest
 
-from repro.core.ws import LabelModel, _clip, fit_label_model, majority_vote
+from repro.core.ws import LabelModel, _clip, fit_label_model
 
 
 def synthetic_votes(n_docs=60, good_acc=0.9, bad_acc=0.2):
@@ -70,13 +70,13 @@ class TestFitLabelModel:
 
 class TestLabelModelWeight:
     def test_unknown_function_neutral(self):
-        m = LabelModel({}, 4)
+        m = LabelModel({})
         assert m.weight("unseen") == pytest.approx(
             m.weight("unseen"))  # stable
         assert m.weight("unseen") > 0  # 0.5 acc with b=4 -> log(1.5)
 
     def test_higher_accuracy_higher_weight(self):
-        m = LabelModel({"a": 0.9, "b": 0.6}, 4)
+        m = LabelModel({"a": 0.9, "b": 0.6})
         assert m.weight("a") > m.weight("b")
 
 
@@ -86,13 +86,3 @@ class TestClip:
         assert _clip(1.0) == 0.95
         assert _clip(0.5) == 0.5
 
-
-class TestMajorityVote:
-    def test_simple_majority(self):
-        assert majority_vote({"a": "x", "b": "x", "c": "y"}) == "x"
-
-    def test_tie_breaks_lexicographically(self):
-        assert majority_vote({"a": "x", "b": "y"}) == "x"
-
-    def test_empty(self):
-        assert majority_vote({}) == ""
