@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.lakes.base import DataLake
+from repro.lakes.base import DataLake, rows_for_docs
 
 # Leaf-node shapes the wrapper-induction baseline can learn. Deliberately
 # excludes <title>/tag-attribute placements (not leaf text).
@@ -110,9 +110,7 @@ def run_dom_baseline(
     Returns (predictions, attrs, test_ids).
     """
     train_ids, test_ids = train_test_split(lake, train_frac)
-    train_docs = lake.docs[lake.docs.doc_id.isin(train_ids)]
-    train_gold = lake.gold[lake.gold.doc_id.isin(train_ids)]
-    model = DomExtractor().fit(train_docs, train_gold)
-    test_docs = lake.docs[lake.docs.doc_id.isin(test_ids)]
-    preds = model.extract(test_docs, lake.gold_attrs)
+    model = DomExtractor().fit(rows_for_docs(lake.docs, train_ids),
+                               rows_for_docs(lake.gold, train_ids))
+    preds = model.extract(rows_for_docs(lake.docs, test_ids), lake.gold_attrs)
     return preds, lake.gold_attrs, test_ids

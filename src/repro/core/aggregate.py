@@ -84,7 +84,6 @@ def eval_labels(
 
 
 def score_and_plan(
-    lake: DataLake,
     attr: str,
     candidates: list[Candidate],
     votes_eval: pd.DataFrame,
@@ -195,23 +194,7 @@ def aggregate_votes_spark(
     return winner.filter(F.col("value") != "").select("doc_id", "attribute", "value")
 
 
-def aggregate_single_function(
-    votes: DataFrame, attr_to_fid: dict[str, str]
-) -> DataFrame:
-    """EVAPORATE-CODE: no ensembling — one function's output per attribute."""
-    rows = [(a, f) for a, f in attr_to_fid.items()]
-    if not rows:
-        return votes.sparkSession.createDataFrame(
-            [], schema="doc_id string, attribute string, value string"
-        )
-    sel = votes.sparkSession.createDataFrame(
-        pd.DataFrame(rows, columns=["attribute", "fid"])
-    )
-    out = votes.join(sel, on=["attribute", "fid"], how="inner")
-    return out.filter(F.col("value") != "").select("doc_id", "attribute", "value")
-
-
 __all__ = [
     "AggConfig", "AGGREGATORS", "AttrPlan", "eval_labels", "score_and_plan",
-    "aggregate_votes_spark", "aggregate_single_function",
+    "aggregate_votes_spark",
 ]

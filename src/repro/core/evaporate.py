@@ -20,7 +20,7 @@ from repro.core.schema import (N_SCHEMA_SAMPLE, SchemaResult, sample_doc_ids,
                                synthesize_schema)
 from repro.core.synthesis import Candidate, generate_candidates
 from repro.core.execute import run_functions
-from repro.lakes.base import DataLake
+from repro.lakes.base import DataLake, rows_for_docs
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 
@@ -101,7 +101,7 @@ def prepare_code(
         run_ids = sorted(set(doc_ids) | set(eval_ids))
     votes = run_functions(spark, lake, candidates, run_ids).persist()
     votes_all = votes.toPandas()
-    votes_eval = votes_all[votes_all.doc_id.isin(set(eval_ids))]
+    votes_eval = rows_for_docs(votes_all, eval_ids)
 
     labels = {
         a: agg.eval_labels(lake, llm, a, eval_ids, ledger) for a in attrs
@@ -125,7 +125,7 @@ def finish_code_plus(
     plans: dict[str, agg.AttrPlan] = {}
     for a in art.attrs:
         plan = agg.score_and_plan(
-            art.lake, a, art.candidates, art.votes_eval, art.labels[a],
+            a, art.candidates, art.votes_eval, art.labels[a],
             art.votes_all, cfg,
         )
         if plan.alive:
@@ -190,7 +190,12 @@ def run_code(
     ]
 
     votes = run_functions(spark, lake, candidates, doc_ids)
-    attr_to_fid = {c.attribute: c.fid for c in candidates}
-    table = agg.aggregate_single_function(votes, attr_to_fid).toPandas()
+    # the same Spark vote as Code+, with one unit-weight voter per attribute
+    plans = {
+        c.attribute: agg.AttrPlan(c.attribute, e=0.0, scores={}, kept=[c.fid],
+                                  weights={c.fid: 1.0}, drop_empty=True)
+        for c in candidates
+    }
+    table = agg.aggregate_votes_spark(spark, votes, plans).toPandas()
     return RunResult(mode="code", table=table, attrs=attrs, ledger=ledger,
                      schema=schema)

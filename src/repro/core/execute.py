@@ -12,7 +12,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.synthesis import Candidate, compile_candidate
-from repro.lakes.base import DataLake
+from repro.lakes.base import DataLake, rows_for_docs
 
 VOTES_SCHEMA = "doc_id string, attribute string, fid string, value string"
 
@@ -24,9 +24,7 @@ def run_functions(
     doc_ids: list[str] | None = None,
 ) -> DataFrame:
     """Apply every candidate function to every document -> votes DF."""
-    docs = lake.docs if doc_ids is None else (
-        lake.docs[lake.docs.doc_id.isin(set(doc_ids))].reset_index(drop=True)
-    )
+    docs = rows_for_docs(lake.docs, doc_ids)
     sdf = spark.createDataFrame(docs[["doc_id", "text"]])
     cand_list = [(c.fid, c.attribute, c.source, c.fn_name) for c in candidates]
 

@@ -3,8 +3,8 @@
 Pair F1 follows Lockard et al. / Deng et al.: the prediction and gold
 are sets of (doc_id, attribute, value) tuples; all three elements must
 match exactly for credit. Text F1 is the SQuAD token-overlap F1.
-Both are computed over Spark DataFrames with joins/aggregations (and are
-oracle-checked against DuckDB in the tests).
+Both run on the driver over the pandas tables the pipelines already
+collect (Pair F1 is oracle-checked against DuckDB SQL in the tests).
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
 @dataclass(frozen=True)
@@ -32,33 +31,35 @@ class PRF:
         return PRF(p, r, f)
 
 
-def _norm_tuple_col(df: DataFrame, col: str) -> DataFrame:
-    """Whitespace-normalize a string column for exact-match comparison."""
-    return df.withColumn(col, F.trim(F.regexp_replace(F.col(col), r"\s+", " ")))
+_WS_RUN = re.compile(r"[ \t\n\v\f\r]+")
 
 
-def pair_f1(pred: DataFrame, gold: DataFrame) -> PRF:
+def _as_pandas(df: DataFrame | pd.DataFrame) -> pd.DataFrame:
+    return df.toPandas() if isinstance(df, DataFrame) else df
+
+
+def _tuples(df: DataFrame | pd.DataFrame) -> set[tuple[str, str, str]]:
+    """Canonical ``(doc_id, attribute, value)`` set; empty values dropped."""
+    out = set()
+    for d, a, v in _as_pandas(df)[["doc_id", "attribute", "value"]].itertuples(index=False):
+        if pd.isna(v):
+            continue
+        v = _WS_RUN.sub(" ", v).strip(" ")
+        if v:
+            out.add((d, a.strip(" ").lower(), v))
+    return out
+
+
+def pair_f1(pred: DataFrame | pd.DataFrame, gold: DataFrame | pd.DataFrame) -> PRF:
     """Pair F1 between predicted and gold (doc_id, attribute, value) sets.
 
-    Empty-string predicted values are dropped (a "no value" prediction is
-    the absence of a tuple). Attribute names are compared after
-    normalization (lowercase/trim), values after whitespace collapse —
-    exact match otherwise, no partial credit.
+    Null and whitespace-only predicted values are dropped (a "no value"
+    prediction is the absence of a tuple). Attribute names are compared
+    after normalization (lowercase/trim), values after whitespace
+    collapse — exact match otherwise, no partial credit.
     """
-    cols = ["doc_id", "attribute", "value"]
-
-    def canon(df: DataFrame) -> DataFrame:
-        df = df.select(*cols).na.drop(subset=["value"])
-        df = df.filter(F.length(F.trim(F.col("value"))) > 0)
-        df = df.withColumn("attribute", F.lower(F.trim(F.col("attribute"))))
-        df = _norm_tuple_col(df, "value")
-        return df.dropDuplicates(cols)
-
-    p, g = canon(pred), canon(gold)
-    n_pred = p.count()
-    n_gold = g.count()
-    n_correct = p.join(g, on=cols, how="inner").count()
-    return PRF.from_counts(n_correct, n_pred, n_gold)
+    p, g = _tuples(pred), _tuples(gold)
+    return PRF.from_counts(len(p & g), len(p), len(g))
 
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
@@ -87,18 +88,18 @@ def text_f1_strings(pred: str | None, gold: str | None) -> float:
     return 2 * p * r / (p + r)
 
 
-def closed_text_f1(pred: DataFrame, gold: DataFrame, attrs: list[str],
-                   all_doc_ids: list[str]) -> float:
+def closed_text_f1(pred: DataFrame | pd.DataFrame, gold: DataFrame | pd.DataFrame,
+                   attrs: list[str], all_doc_ids: list[str]) -> float:
     """Mean Text F1 over every (doc, attribute) cell of the closed schema.
 
     Cells where both sides are empty score 1.0 (correctly predicting "no
-    value"); one-sided empties score 0. Computed with a full outer join
-    over the (doc x attribute) grid.
+    value"); one-sided empties score 0. Every cell of the (doc x
+    attribute) grid is looked up in both tables.
     """
-    pp = pred.toPandas() if isinstance(pred, DataFrame) else pred
-    gp = gold.toPandas() if isinstance(gold, DataFrame) else gold
-    pmap = {(r.doc_id, str(r.attribute).lower()): r.value for r in pp.itertuples()}
-    gmap = {(r.doc_id, str(r.attribute).lower()): r.value for r in gp.itertuples()}
+    pmap = {(r.doc_id, str(r.attribute).lower()): r.value
+            for r in _as_pandas(pred).itertuples()}
+    gmap = {(r.doc_id, str(r.attribute).lower()): r.value
+            for r in _as_pandas(gold).itertuples()}
     scores = [
         text_f1_strings(pmap.get((d, a.lower())), gmap.get((d, a.lower())))
         for d in all_doc_ids

@@ -22,7 +22,7 @@ from repro.core.metrics import closed_text_f1, pair_f1, schema_f1_at_k
 from repro.core.schema import sample_doc_ids, synthesize_schema
 from repro.harness import paper
 from repro.lakes import registry
-from repro.lakes.base import DataLake
+from repro.lakes.base import rows_for_docs
 from repro.llm.mock_llm import MockLLM
 
 GROUPS = list(registry.GROUPS)  # fda, enron, nba, swde_movie, swde_university
@@ -45,17 +45,6 @@ def _settings(cfg: HarnessConfig, group: str) -> list[str]:
     if cfg.sites_per_domain is not None and group.startswith("swde"):
         names = names[: cfg.sites_per_domain]
     return names
-
-
-def _gold_df(spark: SparkSession, lake: DataLake, doc_ids=None):
-    g = lake.gold if doc_ids is None else lake.gold[lake.gold.doc_id.isin(set(doc_ids))]
-    return spark.createDataFrame(g)
-
-
-def _pred_df(spark: SparkSession, table: pd.DataFrame):
-    if table.empty:
-        return spark.createDataFrame([], schema="doc_id string, attribute string, value string")
-    return spark.createDataFrame(table)
 
 
 def _mean(rows: list[dict], key: str) -> float:
@@ -81,7 +70,7 @@ def table1(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
                 sorted(lake.docs.doc_id))
             # OpenIE: end-to-end (schema identified by the system)
             opened = evaporate.run_code_plus(spark, lake, cfg.model, cfg.seed)
-            prf = pair_f1(_pred_df(spark, opened.table), _gold_df(spark, lake))
+            prf = pair_f1(opened.table, lake.gold)
             per_setting.append({
                 "closed_f1": 100 * cf1, "open_r": 100 * prf.recall,
                 "open_p": 100 * prf.precision, "open_f1": 100 * prf.f1,
@@ -116,32 +105,30 @@ def table2(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
             all_ids = sorted(lake.docs.doc_id)
             # in-domain trained DOM baseline (test split only)
             preds, attrs, test_ids = run_dom_baseline(spark, lake)
-            gold_test = _gold_df(spark, lake, test_ids)
-            dom_open = pair_f1(_pred_df(spark, preds), gold_test)
+            gold_test = rows_for_docs(lake.gold, test_ids)
+            dom_open = pair_f1(preds, gold_test)
             dom_closed = closed_text_f1(
-                preds, lake.gold[lake.gold.doc_id.isin(test_ids)],
-                lake.gold_attrs, sorted(test_ids))
+                preds, gold_test, lake.gold_attrs, sorted(test_ids))
             per["dom"].append({"closed": 100 * dom_closed, "open": 100 * dom_open.f1})
             # Direct (10-doc sample; ClosedIE via prompt E.2)
             sample = sample_doc_ids(lake, cfg.sample_size)
+            gold_s = rows_for_docs(lake.gold, sample)
             dr = run_direct(spark, lake, cfg.model, cfg.seed, doc_ids=sample)
-            d_open = pair_f1(_pred_df(spark, dr.table), _gold_df(spark, lake, sample))
+            d_open = pair_f1(dr.table, gold_s)
             dcl = run_closed_direct(spark, lake, lake.gold_attrs, cfg.model,
                                     cfg.seed, doc_ids=sample)
-            d_closed = closed_text_f1(
-                dcl.table, lake.gold[lake.gold.doc_id.isin(sample)],
-                lake.gold_attrs, sample)
+            d_closed = closed_text_f1(dcl.table, gold_s, lake.gold_attrs, sample)
             per["direct"].append({"closed": 100 * d_closed, "open": 100 * d_open.f1})
             # Code (single function)
             c = evaporate.run_code(spark, lake, cfg.model, cfg.seed)
-            c_open = pair_f1(_pred_df(spark, c.table), _gold_df(spark, lake))
+            c_open = pair_f1(c.table, lake.gold)
             c_cl = evaporate.run_code(spark, lake, cfg.model, cfg.seed,
                                       given_attrs=lake.gold_attrs)
             c_closed = closed_text_f1(c_cl.table, lake.gold, lake.gold_attrs, all_ids)
             per["code"].append({"closed": 100 * c_closed, "open": 100 * c_open.f1})
             # Code+
             cp = evaporate.run_code_plus(spark, lake, cfg.model, cfg.seed)
-            cp_open = pair_f1(_pred_df(spark, cp.table), _gold_df(spark, lake))
+            cp_open = pair_f1(cp.table, lake.gold)
             cp_cl = evaporate.run_code_plus(spark, lake, cfg.model, cfg.seed,
                                            given_attrs=lake.gold_attrs)
             cp_closed = closed_text_f1(cp_cl.table, lake.gold, lake.gold_attrs, all_ids)
@@ -171,13 +158,13 @@ def table3(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
         for s in _settings(cfg, group):
             lake = registry.make_lake(s, cfg.n_docs)
             sample = sample_doc_ids(lake, cfg.sample_size)
-            gold_s = _gold_df(spark, lake, sample)
+            gold_s = rows_for_docs(lake.gold, sample)
             dr = run_direct(spark, lake, cfg.model, cfg.seed, doc_ids=sample)
-            d_f1 = pair_f1(_pred_df(spark, dr.table), gold_s).f1
+            d_f1 = pair_f1(dr.table, gold_s).f1
             d_tok_10k = per_10k_docs(dr.tokens, len(sample))
             cp = evaporate.run_code_plus(spark, lake, cfg.model, cfg.seed,
                                          doc_ids=sample)
-            c_f1 = pair_f1(_pred_df(spark, cp.table), gold_s).f1
+            c_f1 = pair_f1(cp.table, gold_s).f1
             per.append({
                 "direct_f1": 100 * d_f1, "direct_mtok": d_tok_10k / 1e6,
                 "direct_usd": tokens_to_usd(d_tok_10k),
@@ -215,12 +202,11 @@ def table4(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
         per: dict[str, list[float]] = {a: [] for a in aggs}
         for s in _settings(cfg, group):
             lake = registry.make_lake(s, cfg.n_docs)
-            gold = _gold_df(spark, lake)
             art = evaporate.prepare_code(spark, lake, cfg.model, cfg.seed)
             try:
                 for a in aggs:
                     res = evaporate.finish_code_plus(spark, art, aggregator=a)
-                    per[a].append(100 * pair_f1(_pred_df(spark, res.table), gold).f1)
+                    per[a].append(100 * pair_f1(res.table, lake.gold).f1)
             finally:
                 art.unpersist()
         ref = paper.TABLE4[group]
@@ -252,12 +238,12 @@ def table5(spark: SparkSession, cfg: HarnessConfig | None = None,
             for s in _settings(cfg, group):
                 lake = registry.make_lake(s, cfg.n_docs)
                 sample = sample_doc_ids(lake, cfg.sample_size)
-                gold_s = _gold_df(spark, lake, sample)
+                gold_s = rows_for_docs(lake.gold, sample)
                 dr = run_direct(spark, lake, model, cfg.seed, doc_ids=sample)
-                d_scores.append(100 * pair_f1(_pred_df(spark, dr.table), gold_s).f1)
+                d_scores.append(100 * pair_f1(dr.table, gold_s).f1)
                 cp = evaporate.run_code_plus(spark, lake, model, cfg.seed,
                                              doc_ids=sample)
-                c_scores.append(100 * pair_f1(_pred_df(spark, cp.table), gold_s).f1)
+                c_scores.append(100 * pair_f1(cp.table, gold_s).f1)
                 sr = synthesize_schema(lake, MockLLM(lake, model, cfg.seed))
                 schema_f1s.append(100 * schema_f1_at_k(sr.ranked_attrs, lake.gold_attrs))
             ref = paper.TABLE5[model]
@@ -308,7 +294,7 @@ def table7(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
             sample = sample_doc_ids(lake, cfg.sample_size)
             res = run_closed_direct(spark, lake, lake.gold_attrs, cfg.model,
                                     cfg.seed, doc_ids=sample)
-            f1 = closed_text_f1(res.table, lake.gold[lake.gold.doc_id.isin(sample)],
+            f1 = closed_text_f1(res.table, rows_for_docs(lake.gold, sample),
                                 lake.gold_attrs, sample)
             tok_10k = per_10k_docs(res.tokens, len(sample))
             per.append({"n_attrs": len(lake.gold_attrs), "f1": 100 * f1,

@@ -18,6 +18,7 @@ mechanism behind the paper's "high precision / low recall functions".
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -133,6 +134,13 @@ class DataLake:
     def doc_text(self) -> dict[str, str]:
         """``doc_id -> text``, built once per lake (driver-side only)."""
         return dict(zip(self.docs.doc_id, self.docs.text))
+
+
+def rows_for_docs(frame: pd.DataFrame, doc_ids: Iterable[str] | None) -> pd.DataFrame:
+    """``frame``'s rows whose ``doc_id`` is in ``doc_ids`` (all rows for None)."""
+    if doc_ids is None:
+        return frame
+    return frame[frame.doc_id.isin(set(doc_ids))]
 
 
 # ---------------------------------------------------------------------------

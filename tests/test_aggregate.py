@@ -5,7 +5,6 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.aggregate import (AGGREGATORS, AggConfig, AttrPlan, _top_b,
-                                  aggregate_single_function,
                                   aggregate_votes_spark, eval_labels,
                                   score_and_plan)
 from repro.core.synthesis import Candidate
@@ -63,7 +62,7 @@ class TestScoreAndPlan:
             eval_rows.append((d, "a", "good", f"v{i}"))
             eval_rows.append((d, "a", "bad", "junk"))
         votes = _votes(eval_rows)
-        plan = score_and_plan(None, "a", cands, votes, labels, votes,
+        plan = score_and_plan("a", cands, votes, labels, votes,
                               AGGREGATORS["ws_abstain_filter"])
         assert "good" in plan.kept and "bad" not in plan.kept
         assert plan.scores["good"] > 0.9 > plan.scores["bad"]
@@ -75,7 +74,7 @@ class TestScoreAndPlan:
         labels = {f"d{i}": f"v{i}" for i in range(10)}
         rows = [("d0", "a", "narrow", "v0"), ("d1", "a", "narrow", "v1")]
         rows += [(f"d{i}", "a", "narrow", "") for i in range(2, 10)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
+        plan = score_and_plan("a", cands, _votes(rows), labels,
                               _votes(rows), AGGREGATORS["ws_abstain_filter"])
         assert plan.e == 1.0
         assert plan.kept == ["narrow"]  # scored only where it fired
@@ -84,7 +83,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", ["quiet"])
         labels = {f"d{i}": "" for i in range(10)}  # attribute absent
         rows = [(f"d{i}", "a", "quiet", "") for i in range(10)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
+        plan = score_and_plan("a", cands, _votes(rows), labels,
                               _votes(rows), AGGREGATORS["ws_abstain_filter"])
         assert plan.e == 0.0
         assert not plan.drop_empty
@@ -94,7 +93,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", ["bad"])
         labels = {f"d{i}": f"v{i}" for i in range(5)}
         rows = [(f"d{i}", "a", "bad", "junk") for i in range(5)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
+        plan = score_and_plan("a", cands, _votes(rows), labels,
                               _votes(rows), AGGREGATORS["mv"])
         assert plan.kept == ["bad"]
 
@@ -103,7 +102,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", fids)
         labels = {"d0": "v"}
         rows = [("d0", "a", f, "v") for f in fids]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
+        plan = score_and_plan("a", cands, _votes(rows), labels,
                               _votes(rows), AggConfig())
         assert len(plan.kept) == 10
 
@@ -111,7 +110,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", ["f1"])
         labels = {f"d{i}": f"v{i}" for i in range(5)}
         rows = [(f"d{i}", "a", "f1", "wrong") for i in range(5)]
-        plan = score_and_plan(None, "a", cands, _votes(rows), labels,
+        plan = score_and_plan("a", cands, _votes(rows), labels,
                               _votes(rows), AGGREGATORS["ws_abstain_filter"])
         assert not plan.alive
 
@@ -209,17 +208,25 @@ class TestSparkAggregation:
 
 
 class TestSingleFunction:
+    """EVAPORATE-CODE votes through ``aggregate_votes_spark`` with one
+    unit-weight function per attribute and empty outputs dropped."""
+
+    @staticmethod
+    def _plans(attr_to_fid):
+        return {a: AttrPlan(a, 0.0, {}, [f], {f: 1.0}, True)
+                for a, f in attr_to_fid.items()}
+
     def test_selects_one_fid(self, spark):
         votes = spark.createDataFrame(_votes([
             ("d1", "a", "f1", "x"), ("d1", "a", "f2", "other"),
             ("d2", "a", "f1", ""),
         ]))
-        out = aggregate_single_function(votes, {"a": "f1"}).toPandas()
+        out = aggregate_votes_spark(spark, votes, self._plans({"a": "f1"})).toPandas()
         assert out.value.tolist() == ["x"]  # f2 ignored, empty dropped
 
     def test_empty_mapping(self, spark):
         votes = spark.createDataFrame(_votes([("d1", "a", "f1", "x")]))
-        out = aggregate_single_function(votes, {}).toPandas()
+        out = aggregate_votes_spark(spark, votes, self._plans({})).toPandas()
         assert out.empty
 
 

@@ -41,19 +41,16 @@ class TestRunDirect:
         pb = b.table.sort_values(["doc_id", "attribute"]).reset_index(drop=True)
         assert pa.equals(pb) and a.tokens == b.tokens
 
-    def test_quality_midrange_on_fda(self, spark, fda_lake, fda_direct):
+    def test_quality_midrange_on_fda(self, fda_lake, fda_direct):
         """Direct quality on FDA sits in the paper's band: well below
         perfect (inconsistency errors), well above chance."""
-        gold = spark.createDataFrame(fda_lake.gold)
-        prf = pair_f1(spark.createDataFrame(fda_direct.table), gold)
+        prf = pair_f1(fda_direct.table, fda_lake.gold)
         assert 0.2 < prf.f1 < 0.75
 
     def test_easy_lake_beats_hard_lake(self, spark, enron_lake, fda_lake, fda_direct):
         enron = run_direct(spark, enron_lake)
-        e_prf = pair_f1(spark.createDataFrame(enron.table),
-                        spark.createDataFrame(enron_lake.gold))
-        f_prf = pair_f1(spark.createDataFrame(fda_direct.table),
-                        spark.createDataFrame(fda_lake.gold))
+        e_prf = pair_f1(enron.table, enron_lake.gold)
+        f_prf = pair_f1(fda_direct.table, fda_lake.gold)
         assert e_prf.f1 > f_prf.f1 + 0.15  # Enron ~0.9 vs FDA ~0.45
 
 

@@ -1,17 +1,14 @@
-"""Tests for Pair F1, Text F1 and schema F1@k — including DuckDB oracle
-checks of the Spark join that counts correct tuples."""
+"""Tests for Pair F1, Text F1 and schema F1@k — including a DuckDB
+oracle of the whole Pair F1 computation."""
+import duckdb
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.metrics import (PRF, closed_text_f1, pair_f1, schema_f1_at_k,
-                                text_f1_strings)
-from repro.oracle import assert_equivalent
+from repro.core.metrics import (PRF, _tuples, closed_text_f1, pair_f1,
+                                schema_f1_at_k, text_f1_strings)
 
-
-def _df(spark, rows):
-    return spark.createDataFrame(
-        pd.DataFrame(rows, columns=["doc_id", "attribute", "value"]))
+def _pd(rows):
+    return pd.DataFrame(rows, columns=["doc_id", "attribute", "value"])
 
 
 class TestPRF:
@@ -25,69 +22,103 @@ class TestPRF:
 
 
 class TestPairF1:
-    def test_perfect(self, spark):
+    """Every case runs on pandas input here and on Spark input in
+    ``TestPairF1Spark``."""
+
+    @pytest.fixture
+    def df(self):
+        return _pd
+
+    def test_perfect(self, df):
         rows = [("d1", "a", "x"), ("d2", "b", "y")]
-        prf = pair_f1(_df(spark, rows), _df(spark, rows))
+        prf = pair_f1(df(rows), df(rows))
         assert prf.f1 == 1.0
 
-    def test_no_partial_credit_on_value(self, spark):
+    def test_no_partial_credit_on_value(self, df):
         pred = [("d1", "a", "x extra")]
         gold = [("d1", "a", "x")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 0.0
+        assert pair_f1(df(pred), df(gold)).f1 == 0.0
 
-    def test_attribute_name_must_match(self, spark):
+    def test_attribute_name_must_match(self, df):
         pred = [("d1", "director details", "x")]
         gold = [("d1", "director", "x")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 0.0
+        assert pair_f1(df(pred), df(gold)).f1 == 0.0
 
-    def test_attribute_case_insensitive(self, spark):
+    def test_attribute_case_insensitive(self, df):
         pred = [("d1", "Director", "x")]
         gold = [("d1", "director", "x")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 1.0
+        assert pair_f1(df(pred), df(gold)).f1 == 1.0
 
-    def test_empty_prediction_dropped(self, spark):
+    def test_empty_prediction_dropped(self, df):
         pred = [("d1", "a", ""), ("d1", "b", "y")]
         gold = [("d1", "b", "y")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 1.0
+        assert pair_f1(df(pred), df(gold)).f1 == 1.0
 
-    def test_precision_recall_split(self, spark):
+    def test_whitespace_only_prediction_dropped(self, df):
+        pred = [("d1", "a", "\t"), ("d1", "b", "y"), ("d2", "c", "\n")]
+        gold = [("d1", "b", "y")]
+        assert pair_f1(df(pred), df(gold)).precision == 1.0
+
+    def test_empty_prediction_table(self, df):
+        prf = pair_f1(df([]), df([("d1", "a", "x")]))
+        assert (prf.precision, prf.recall, prf.f1) == (0.0, 0.0, 0.0)
+
+    def test_precision_recall_split(self, df):
         pred = [("d1", "a", "x"), ("d1", "junk", "z")]
         gold = [("d1", "a", "x"), ("d1", "b", "y")]
-        prf = pair_f1(_df(spark, pred), _df(spark, gold))
+        prf = pair_f1(df(pred), df(gold))
         assert prf.precision == 0.5 and prf.recall == 0.5
 
-    def test_whitespace_normalized(self, spark):
+    def test_whitespace_normalized(self, df):
         pred = [("d1", "a", "x   y")]
         gold = [("d1", "a", "x y")]
-        assert pair_f1(_df(spark, pred), _df(spark, gold)).f1 == 1.0
+        assert pair_f1(df(pred), df(gold)).f1 == 1.0
 
-    def test_duplicates_deduped(self, spark):
+    def test_duplicates_deduped(self, df):
         pred = [("d1", "a", "x"), ("d1", "a", "x")]
         gold = [("d1", "a", "x")]
-        prf = pair_f1(_df(spark, pred), _df(spark, gold))
+        prf = pair_f1(df(pred), df(gold))
         assert prf.precision == 1.0
 
-    def test_counting_join_matches_duckdb(self, spark):
-        """Oracle: the tuple-intersection count Spark computes equals the
-        equivalent DuckDB SQL over the same inputs."""
-        pred = pd.DataFrame(
-            [("d1", "a", "x"), ("d1", "b", "wrong"), ("d2", "a", "x2"),
-             ("d2", "junk", "j")], columns=["doc_id", "attribute", "value"])
-        gold = pd.DataFrame(
-            [("d1", "a", "x"), ("d1", "b", "y"), ("d2", "a", "x2")],
-            columns=["doc_id", "attribute", "value"])
-        p, g = spark.createDataFrame(pred), spark.createDataFrame(gold)
-        joined = (
-            p.join(g, on=["doc_id", "attribute", "value"], how="inner")
-            .groupBy("doc_id").agg(F.count("*").alias("n_correct"))
-        )
-        assert_equivalent(
-            joined,
-            """SELECT p.doc_id AS doc_id, COUNT(*) AS n_correct
-               FROM pred p JOIN gold g USING (doc_id, attribute, value)
-               GROUP BY p.doc_id""",
-            pred=pred, gold=gold,
-        )
+    def test_counts_match_duckdb(self, df):
+        """Oracle: DuckDB SQL implementing the same canonicalisation
+        (attribute space-trimmed and lowercased; value whitespace runs
+        collapsed, space-trimmed; null/empty values dropped; set
+        semantics) yields the counts ``pair_f1`` scores with."""
+        pred = [
+            ("d1", " A ", "x"), ("d1", "b", "wrong"), ("d2", "a", "x2  \t y"),
+            ("d2", "junk", "j"), ("d1", "a", "x"), ("d1", "c", None),
+            ("d2", "c", " \t\n "), ("d3", "Name", "Ann\n\nLee "),
+        ]
+        gold = [
+            ("d1", "a", "x"), ("d1", "b", "y"), ("d2", "a", "x2 y"),
+            ("d3", "name", "Ann Lee"), ("d3", "name", "Ann Lee"), ("d1", "c", "z"),
+        ]
+        canon = r"""SELECT DISTINCT doc_id, lower(trim(attribute, ' ')) AS attribute,
+                           trim(regexp_replace(value, '[ \t\n\v\f\r]+', ' ', 'g'), ' ') AS value
+                    FROM {} WHERE value IS NOT NULL"""
+        sql = f"""WITH p AS ({canon.format("pred")}), g AS ({canon.format("gold")}),
+                       pn AS (SELECT * FROM p WHERE value <> ''),
+                       gn AS (SELECT * FROM g WHERE value <> '')
+                  SELECT (SELECT count(*) FROM pn JOIN gn USING (doc_id, attribute, value)),
+                         (SELECT count(*) FROM pn), (SELECT count(*) FROM gn)"""
+        con = duckdb.connect()
+        try:
+            con.register("pred", _pd(pred))
+            con.register("gold", _pd(gold))
+            counts = con.execute(sql).fetchone()
+        finally:
+            con.close()
+        p, g = _tuples(df(pred)), _tuples(df(gold))
+        assert counts == (len(p & g), len(p), len(g)) == (3, 5, 5)
+        assert pair_f1(df(pred), df(gold)) == PRF.from_counts(*counts)
+
+
+class TestPairF1Spark(TestPairF1):
+    @pytest.fixture
+    def df(self, spark):
+        return lambda rows: spark.createDataFrame(
+            rows, schema="doc_id string, attribute string, value string")
 
 
 class TestTextF1:
