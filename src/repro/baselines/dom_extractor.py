@@ -17,7 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.lakes.base import DataLake, rows_for_docs
 
@@ -103,7 +102,7 @@ def train_test_split(lake: DataLake, train_frac: float = 0.3):
 
 
 def run_dom_baseline(
-    spark: SparkSession, lake: DataLake, train_frac: float = 0.3
+    lake: DataLake, train_frac: float = 0.3
 ) -> tuple[pd.DataFrame, list[str], set[str]]:
     """Fit on the train split, extract on the test split.
 

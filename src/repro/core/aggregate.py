@@ -23,6 +23,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
+from repro.core.direct import closed_doc
 from repro.core.metrics import text_f1_strings
 from repro.core.synthesis import Candidate
 from repro.core.ws import B, fit_label_model
@@ -76,8 +77,7 @@ def eval_labels(
     """LLM F extractions on D_eval — Algorithm 1's pseudo ground truth."""
     out: dict[str, str] = {}
     for d in eval_ids:
-        ctx = llm.mention_chunk(attr, lake.doc_text[d])
-        v, t = llm.closed_extract(d, attr, ctx)
+        v, t = closed_doc(llm, d, lake.doc_text[d], attr)
         ledger.add("eval_labels", t)
         out[d] = "" if v == CHATBOT_REFUSAL else v
     return out
@@ -167,12 +167,9 @@ def aggregate_votes_spark(
         for p in plans.values() if p.alive
         for fid in p.kept
     ]
-    if not rows:
-        return spark.createDataFrame(
-            [], schema="doc_id string, attribute string, value string"
-        )
     wdf = spark.createDataFrame(
-        pd.DataFrame(rows, columns=["attribute", "fid", "weight", "drop_empty"])
+        pd.DataFrame(rows, columns=["attribute", "fid", "weight", "drop_empty"]),
+        schema="attribute string, fid string, weight double, drop_empty boolean",
     )
     v = votes.join(wdf, on=["attribute", "fid"], how="inner")
     v = v.filter(~(F.col("drop_empty") & (F.col("value") == "")))

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.llm.tokens import usd
-
 TOKENS_PER_DOC_PAPER = 10_000
 # Per-attribute fixed budget: ~10 synthesis prompts (chunk + template +
 # generated code) plus ~10 D_eval label extractions. Matches the paper's
 # quoted crossovers exactly (40 docs, 2500 attrs).
 TOKENS_PER_ATTR = 40_000
+# Dollar rate used in Table 3 of the paper (text-davinci-003).
+USD_PER_1K_TOKENS = 0.02
 
 
 @dataclass(frozen=True)
@@ -53,4 +53,4 @@ def per_10k_docs(measured_tokens: int, n_docs_measured: int) -> int:
 
 def tokens_to_usd(tokens: int) -> float:
     """Dollar cost at the davinci rate used in Table 3."""
-    return usd(tokens)
+    return tokens / 1000.0 * USD_PER_1K_TOKENS

@@ -7,7 +7,9 @@ document, then ranked by document frequency so the head-k attributes
 form the output table (§3.1 "Prioritizing common attributes").
 
 Also hosts the ClosedIE direct extractor (prompt E.2) used for Table 2's
-Direct rows, Table 7, and Algorithm 1's D_eval labels.
+Direct rows and Table 7. ``openie_doc`` and ``closed_doc`` are the one
+implementation of each prompt on a document: schema synthesis and
+Algorithm 1's D_eval labels call them on the driver.
 """
 from __future__ import annotations
 
@@ -36,6 +38,28 @@ class DirectResult:
     n_docs: int
 
 
+def openie_doc(llm: MockLLM, doc_id: str, text: str) -> tuple[dict[str, str], int]:
+    """OpenIE prompt on every chunk of one doc: the first non-empty value
+    per normalized attribute, and the tokens spent."""
+    chunks = split_chunks(text)
+    merged: dict[str, str] = {}
+    tokens = 0
+    for ci, ch in enumerate(chunks):
+        pairs, t = llm.openie_extract(doc_id, ch, ci, len(chunks))
+        tokens += t
+        for a, v in pairs:
+            na = normalize_attr(a)
+            if na and v and na not in merged:
+                merged[na] = v
+    return merged, tokens
+
+
+def closed_doc(llm: MockLLM, doc_id: str, text: str, attr: str) -> tuple[str, int]:
+    """LLM F ClosedIE (prompt E.2): one attribute's value in one doc, read
+    from the chunk that mentions it, and the tokens spent."""
+    return llm.closed_extract(doc_id, attr, llm.mention_chunk(attr, text))
+
+
 def run_direct(
     spark: SparkSession,
     lake: DataLake,
@@ -53,16 +77,7 @@ def run_direct(
         for pdf in batches:
             rows = []
             for r in pdf.itertuples(index=False):
-                chunks = split_chunks(r.text)
-                doc_tokens = 0
-                merged: dict[str, str] = {}
-                for ci, ch in enumerate(chunks):
-                    pairs, t = llm.openie_extract(r.doc_id, ch, ci, len(chunks))
-                    doc_tokens += t
-                    for a, v in pairs:
-                        na = normalize_attr(a)
-                        if na and v and na not in merged:
-                            merged[na] = v
+                merged, doc_tokens = openie_doc(llm, r.doc_id, r.text)
                 rows.extend((r.doc_id, a, v, 0) for a, v in merged.items())
                 rows.append((r.doc_id, _TOKENS_SENTINEL, "", doc_tokens))
             yield pd.DataFrame(rows, columns=["doc_id", "attribute", "value", "tokens"])
@@ -116,8 +131,7 @@ def run_closed_direct(
             rows = []
             for r in pdf.itertuples(index=False):
                 for a in attrs_b:
-                    ctx = llm.mention_chunk(a, r.text)
-                    v, t = llm.closed_extract(r.doc_id, a, ctx)
+                    v, t = closed_doc(llm, r.doc_id, r.text, a)
                     rows.append((r.doc_id, a, v, t))
             yield pd.DataFrame(rows, columns=["doc_id", "attribute", "value", "tokens"])
 

@@ -2,9 +2,10 @@
 
 This is the cheap side of the paper's cost asymmetry: functions process
 every document *without* the LLM. Function sources ride into a Spark
-``mapInPandas`` UDF as strings (code objects don't pickle) and are
-compiled once per partition; the output is a long votes DataFrame
-``(doc_id, attribute, fid, value)`` consumed by Algorithm 1.
+``mapInPandas`` UDF as strings and are compiled once per partition, so
+machine-written code never executes on the driver; the output is a long
+votes DataFrame ``(doc_id, attribute, fid, value)`` consumed by
+Algorithm 1.
 """
 from __future__ import annotations
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.chunk import split_chunks
+from repro.core.direct import openie_doc
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
-from repro.util import normalize_attr
 
 UPWEIGHT = 3.0  # multiplicative boost for LLM-endorsed attributes (§3.2.1)
 N_SCHEMA_SAMPLE = 10  # docs for schema synthesis + D_eval (paper §4.1)
@@ -45,15 +44,8 @@ def synthesize_schema(lake: DataLake, llm: MockLLM) -> SchemaResult:
     ledger = TokenLedger()
     counts: dict[str, int] = {}
     for doc_id in sample_doc_ids(lake, N_SCHEMA_SAMPLE):
-        chunks = split_chunks(lake.doc_text[doc_id])
-        seen: set[str] = set()
-        for ci, ch in enumerate(chunks):
-            pairs, t = llm.openie_extract(doc_id, ch, ci, len(chunks))
-            ledger.add("schema", t)
-            for a, v in pairs:
-                na = normalize_attr(a)
-                if na and v:
-                    seen.add(na)
+        seen, t = openie_doc(llm, doc_id, lake.doc_text[doc_id])
+        ledger.add("schema", t)
         for a in seen:
             counts[a] = counts.get(a, 0) + 1
 

@@ -3,8 +3,8 @@
 Each ``tableN`` function runs the relevant pipelines over the synthetic
 lakes and returns a pandas frame shaped like the paper's table, with the
 paper's reported number alongside each measured one (columns suffixed
-``_paper``). ``jobs/tableN.py`` are the spark-submit wrappers;
-``benchmarks/bench_tableN.py`` time them.
+``_paper``). ``jobs/run_all.py [tableN ...]`` writes them to
+``results/``; ``benchmarks/bench_tables.py`` times them.
 """
 from __future__ import annotations
 
@@ -19,11 +19,10 @@ from repro.core import evaporate
 from repro.core.cost import per_10k_docs, tokens_to_usd
 from repro.core.direct import run_closed_direct, run_direct
 from repro.core.metrics import closed_text_f1, pair_f1, schema_f1_at_k
-from repro.core.schema import sample_doc_ids, synthesize_schema
+from repro.core.schema import sample_doc_ids
 from repro.harness import paper
 from repro.lakes import registry
 from repro.lakes.base import rows_for_docs
-from repro.llm.mock_llm import MockLLM
 
 GROUPS = list(registry.GROUPS)  # fda, enron, nba, swde_movie, swde_university
 
@@ -104,7 +103,7 @@ def table2(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
             lake = registry.make_lake(s, cfg.n_docs)
             all_ids = sorted(lake.docs.doc_id)
             # in-domain trained DOM baseline (test split only)
-            preds, attrs, test_ids = run_dom_baseline(spark, lake)
+            preds, attrs, test_ids = run_dom_baseline(lake)
             gold_test = rows_for_docs(lake.gold, test_ids)
             dom_open = pair_f1(preds, gold_test)
             dom_closed = closed_text_f1(
@@ -176,7 +175,7 @@ def table3(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
         for k in ("direct_f1", "direct_mtok", "direct_usd",
                   "code_f1", "code_mtok", "code_usd"):
             row[k] = round(_mean(per, k), 2)
-            row[f"{k}_paper"] = ref[k.replace("code_", "code_").replace("direct_", "direct_")]
+            row[f"{k}_paper"] = ref[k]
         row["delta_f1"] = round(row["code_f1"] - row["direct_f1"], 1)
         row["delta_f1_paper"] = ref["delta_f1"]
         row["reduction"] = round(row["direct_mtok"] / row["code_mtok"], 0) if row["code_mtok"] else float("inf")
@@ -244,8 +243,8 @@ def table5(spark: SparkSession, cfg: HarnessConfig | None = None,
                 cp = evaporate.run_code_plus(spark, lake, model, cfg.seed,
                                              doc_ids=sample)
                 c_scores.append(100 * pair_f1(cp.table, gold_s).f1)
-                sr = synthesize_schema(lake, MockLLM(lake, model, cfg.seed))
-                schema_f1s.append(100 * schema_f1_at_k(sr.ranked_attrs, lake.gold_attrs))
+                schema_f1s.append(100 * schema_f1_at_k(
+                    cp.schema.ranked_attrs, lake.gold_attrs))
             ref = paper.TABLE5[model]
             row[f"direct_{group}"] = round(sum(d_scores) / len(d_scores), 1)
             row[f"direct_{group}_paper"] = ref["direct"][group]

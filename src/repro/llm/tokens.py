@@ -8,20 +8,12 @@ deterministic and close enough to BPE for *relative* cost comparisons
 """
 from __future__ import annotations
 
-# Dollar rate used in Table 3 of the paper (text-davinci-003).
-USD_PER_1K_TOKENS = 0.02
-
 
 def count_tokens(text: str) -> int:
     """Approximate BPE token count of ``text`` (~4 chars/token, >=1)."""
     if not text:
         return 0
     return max(1, round(len(text) / 4))
-
-
-def usd(tokens: int, usd_per_1k: float = USD_PER_1K_TOKENS) -> float:
-    """Dollar cost of processing ``tokens`` at the davinci rate."""
-    return tokens / 1000.0 * usd_per_1k
 
 
 class TokenLedger:
@@ -41,10 +33,6 @@ class TokenLedger:
     @property
     def total(self) -> int:
         return sum(self.by_stage.values())
-
-    @property
-    def total_usd(self) -> float:
-        return usd(self.total)
 
     def merge(self, other: "TokenLedger") -> "TokenLedger":
         for k, v in other.by_stage.items():

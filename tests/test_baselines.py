@@ -24,17 +24,17 @@ class TestDomExtractor:
     def test_cannot_reach_title_tag_attribute(self, movie_lake):
         """SWDE-Plus: the title lives in <title>, not a DOM leaf — the
         wrapper baseline must miss it (the paper's §4.3 limitation)."""
-        preds, attrs, test_ids = run_dom_baseline(None, movie_lake)
+        preds, attrs, test_ids = run_dom_baseline(movie_lake)
         assert "title" not in set(preds.attribute)
 
-    def test_midrange_quality(self, spark, movie_lake):
-        preds, attrs, test_ids = run_dom_baseline(spark, movie_lake)
+    def test_midrange_quality(self, movie_lake):
+        preds, attrs, test_ids = run_dom_baseline(movie_lake)
         gold = movie_lake.gold[movie_lake.gold.doc_id.isin(test_ids)]
         prf = pair_f1(preds, gold)
         assert 0.2 < prf.f1 < 0.9  # trained in-domain: decent, not perfect
 
     def test_extracted_values_match_gold_when_found(self, movie_lake):
-        preds, _, test_ids = run_dom_baseline(None, movie_lake)
+        preds, _, test_ids = run_dom_baseline(movie_lake)
         gold = {(r.doc_id, r.attribute): r.value
                 for r in movie_lake.gold.itertuples()}
         hits = sum(gold.get((r.doc_id, r.attribute)) == r.value

@@ -1,8 +1,12 @@
 """Tests for the EVAPORATE-DIRECT pipeline (Spark mapInPandas over docs)."""
 import pytest
 
+from repro.core.aggregate import eval_labels
 from repro.core.direct import run_closed_direct, run_direct
 from repro.core.metrics import closed_text_f1, pair_f1
+from repro.core.schema import N_SCHEMA_SAMPLE, sample_doc_ids, synthesize_schema
+from repro.llm.mock_llm import CHATBOT_REFUSAL, MockLLM
+from repro.llm.tokens import TokenLedger
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +75,35 @@ class TestRunClosedDirect:
                             fda_lake.gold[fda_lake.gold.doc_id.isin(ids)],
                             fda_lake.gold_attrs, ids)
         assert f1 > 0.6
+
+
+@pytest.mark.parametrize("lake_name,model", [
+    ("fda_lake", "davinci"), ("nba_lake", "gpt4"), ("enron_lake", "jumbo"),
+])
+class TestDriverAndSparkAgree:
+    """The driver-side loops (schema synthesis, D_eval labels) and the
+    Spark pipelines (Direct OpenIE, Direct ClosedIE) prompt the LLM on a
+    doc through the same code, so they agree cell for cell and token for
+    token."""
+
+    def test_schema_tokens_equal_direct_tokens(self, request, spark, lake_name, model):
+        lake = request.getfixturevalue(lake_name)
+        sr = synthesize_schema(lake, MockLLM(lake, model))
+        dr = run_direct(spark, lake, model,
+                        doc_ids=sample_doc_ids(lake, N_SCHEMA_SAMPLE))
+        assert sr.ledger.by_stage["schema"] == dr.tokens
+
+    def test_eval_labels_equal_closed_direct(self, request, spark, lake_name, model):
+        lake = request.getfixturevalue(lake_name)
+        ids = sample_doc_ids(lake, N_SCHEMA_SAMPLE)
+        llm, ledger = MockLLM(lake, model), TokenLedger()
+        labels = {a: eval_labels(lake, llm, a, ids, ledger) for a in lake.gold_attrs}
+        res = run_closed_direct(spark, lake, lake.gold_attrs, model, doc_ids=ids)
+        spark_cells = {
+            (r.doc_id, r.attribute): "" if r.value == CHATBOT_REFUSAL else r.value
+            for r in res.table.itertuples()
+        }
+        driver_cells = {(d, a): v for a, by_doc in labels.items()
+                        for d, v in by_doc.items()}
+        assert spark_cells == driver_cells
+        assert ledger.by_stage["eval_labels"] == res.tokens

@@ -1,11 +1,15 @@
 """Structural tests of the table harness (small configurations).
 
-Full-scale regeneration happens in jobs/ and benchmarks/; here we check
+Full-scale regeneration happens in jobs/run_all.py and benchmarks/; here we check
 the harness produces correctly-shaped frames with paper reference
 columns, and that the central Table-3 relationship (Code+ > Direct on
 FDA, large token reduction) holds at mini scale.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +73,19 @@ class TestHelpers:
 
     def test_mean_empty_is_nan(self):
         assert math.isnan(tables._mean([], "x"))
+
+
+class TestRunAllCli:
+    @pytest.mark.parametrize("args", [["table9"], ["table6", "table9"]])
+    def test_unknown_table_exits_before_writing(self, tmp_path, args):
+        """An unknown name fails the whole call up front: no table runs,
+        not even the valid ones named before it."""
+        root = Path(__file__).resolve().parents[1]
+        (tmp_path / "results").mkdir()
+        env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"}
+        proc = subprocess.run(
+            [sys.executable, str(root / "jobs" / "run_all.py"), *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode != 0
+        assert "unknown table(s): table9" in proc.stderr
+        assert list((tmp_path / "results").iterdir()) == []

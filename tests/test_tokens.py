@@ -1,7 +1,8 @@
 """Unit tests for token accounting."""
 import pytest
 
-from repro.llm.tokens import TokenLedger, count_tokens, usd
+from repro.core.cost import tokens_to_usd
+from repro.llm.tokens import TokenLedger, count_tokens
 
 
 class TestCountTokens:
@@ -23,13 +24,10 @@ class TestCountTokens:
 
 class TestUsd:
     def test_davinci_rate(self):
-        assert usd(1000) == pytest.approx(0.02)
+        assert tokens_to_usd(1000) == pytest.approx(0.02)
 
     def test_scales_linearly(self):
-        assert usd(2_000_000) == pytest.approx(40.0)
-
-    def test_custom_rate(self):
-        assert usd(1000, usd_per_1k=0.002) == pytest.approx(0.002)
+        assert tokens_to_usd(2_000_000) == pytest.approx(40.0)
 
 
 class TestTokenLedger:
@@ -56,8 +54,3 @@ class TestTokenLedger:
     def test_merge_returns_self(self):
         a = TokenLedger()
         assert a.merge(TokenLedger()) is a
-
-    def test_total_usd(self):
-        led = TokenLedger()
-        led.add("x", 1_000_000)
-        assert led.total_usd == pytest.approx(20.0)
