@@ -5,6 +5,7 @@ Run from the repo root::
     PYTHONPATH=src:. python jobs/run_all.py                # all seven tables
     PYTHONPATH=src:. python jobs/run_all.py table3 table5  # only these, in order
 """
+import os
 import sys
 import time
 
@@ -20,6 +21,8 @@ def main(names: list[str]) -> None:
     if unknown:
         sys.exit(f"unknown table(s): {' '.join(unknown)}; "
                  f"choose from {' '.join(TABLES)}")
+    if not os.path.isdir("results"):
+        sys.exit("no results/ directory in the working directory; run from the repo root")
 
     spark = build_session("run-all")
     spark.sparkContext.setLogLevel("ERROR")

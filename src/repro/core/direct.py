@@ -1,10 +1,10 @@
 """EVAPORATE-DIRECT (§3.1): prompt the LLM on every chunk of every doc.
 
-The distributed dataflow: documents live in a Spark DataFrame and an
-Arrow ``mapInPandas`` UDF invokes the (simulated) LLM per chunk,
-emitting long-format extraction rows. Attribute outputs are merged per
-document, then ranked by document frequency so the head-k attributes
-form the output table (§3.1 "Prioritizing common attributes").
+The distributed dataflow: ``execute.map_docs`` invokes the (simulated)
+LLM per chunk in Spark workers, emitting long-format extraction rows with
+attribute outputs merged per document. The driver collects them once and
+ranks attributes by document frequency so the head-k attributes form the
+output table (§3.1 "Prioritizing common attributes").
 
 Also hosts the ClosedIE direct extractor (prompt E.2) used for Table 2's
 Direct rows and Table 7. ``openie_doc`` and ``closed_doc`` are the one
@@ -16,15 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.core.chunk import split_chunks
+from repro.core.execute import map_docs
 from repro.lakes.base import DataLake, rows_for_docs
 from repro.llm.mock_llm import MockLLM
 from repro.util import normalize_attr
 
-_TOKENS_SENTINEL = "__doc_tokens__"
 _OUT_SCHEMA = "doc_id string, attribute string, value string, tokens long"
 
 
@@ -68,42 +67,29 @@ def run_direct(
     doc_ids: list[str] | None = None,
     top_k: int | None = None,
 ) -> DirectResult:
-    """Run the direct-extraction pipeline over the lake (or a doc sample)."""
+    """Run the direct-extraction pipeline over the lake (or a doc sample).
+
+    One Spark job: the per-doc extractions, plus a null-attribute row per
+    doc carrying its tokens, are collected once; the driver ranks
+    attributes by (-distinct docs, name) and keeps the head-k rows.
+    """
     llm = MockLLM(lake, model, seed)
-    docs = rows_for_docs(lake.docs, doc_ids)
-    sdf = spark.createDataFrame(docs[["doc_id", "text"]])
 
-    def extract(batches):
-        for pdf in batches:
-            rows = []
-            for r in pdf.itertuples(index=False):
-                merged, doc_tokens = openie_doc(llm, r.doc_id, r.text)
-                rows.extend((r.doc_id, a, v, 0) for a, v in merged.items())
-                rows.append((r.doc_id, _TOKENS_SENTINEL, "", doc_tokens))
-            yield pd.DataFrame(rows, columns=["doc_id", "attribute", "value", "tokens"])
+    def rows(doc_id: str, text: str) -> list[tuple]:
+        merged, doc_tokens = openie_doc(llm, doc_id, text)
+        return [(doc_id, a, v, 0) for a, v in merged.items()] + [(doc_id, None, None, doc_tokens)]
 
-    raw = sdf.mapInPandas(extract, _OUT_SCHEMA)
-    raw = raw.persist()
-    try:
-        tokens = raw.filter(F.col("attribute") == _TOKENS_SENTINEL).agg(
-            F.sum("tokens").alias("t")).collect()[0]["t"] or 0
-        ext = raw.filter(F.col("attribute") != _TOKENS_SENTINEL)
-        freq = (
-            ext.groupBy("attribute")
-            .agg(F.countDistinct("doc_id").alias("n"))
-            .orderBy(F.desc("n"), F.asc("attribute"))
-        )
-        ranked = [r["attribute"] for r in freq.collect()]
-        k = top_k if top_k is not None else len(lake.gold_attrs)
-        head = set(ranked[:k])
-        table = ext.filter(F.col("attribute").isin(head)).toPandas()
-    finally:
-        raw.unpersist()
+    raw = map_docs(spark, lake, doc_ids, lambda: rows, _OUT_SCHEMA).toPandas()
+    ext = raw[raw.attribute.notna()]
+    doc_counts = ext.groupby("attribute").doc_id.nunique()
+    ranked = [a for a, _ in sorted(doc_counts.items(), key=lambda an: (-an[1], an[0]))]
+    k = top_k if top_k is not None else len(lake.gold_attrs)
+    table = ext[ext.attribute.isin(ranked[:k])].reset_index(drop=True)
     return DirectResult(
         table=table[["doc_id", "attribute", "value"]],
         ranked_attrs=ranked,
-        tokens=int(tokens),
-        n_docs=len(docs),
+        tokens=int(raw.tokens.sum()),
+        n_docs=len(rows_for_docs(lake.docs, doc_ids)),
     )
 
 
@@ -117,28 +103,20 @@ def run_closed_direct(
 ) -> DirectResult:
     """ClosedIE with the LLM F: extract each given attribute per document.
 
-    One LLM call per (doc, attribute) over the full document text — the
-    expensive high-quality extractor the paper measures in Table 7 and
-    uses as Algorithm 1's pseudo-labels.
+    One LLM call per (doc, attribute) on the chunk that mentions the
+    attribute (``closed_doc``) — the expensive high-quality extractor the
+    paper measures in Table 7 and uses as Algorithm 1's pseudo-labels.
     """
     llm = MockLLM(lake, model, seed)
-    docs = rows_for_docs(lake.docs, doc_ids)
-    sdf = spark.createDataFrame(docs[["doc_id", "text"]])
     attrs_b = list(attrs)
 
-    def extract(batches):
-        for pdf in batches:
-            rows = []
-            for r in pdf.itertuples(index=False):
-                for a in attrs_b:
-                    v, t = closed_doc(llm, r.doc_id, r.text, a)
-                    rows.append((r.doc_id, a, v, t))
-            yield pd.DataFrame(rows, columns=["doc_id", "attribute", "value", "tokens"])
+    def rows(doc_id: str, text: str) -> list[tuple]:
+        return [(doc_id, a, *closed_doc(llm, doc_id, text, a)) for a in attrs_b]
 
-    out = sdf.mapInPandas(extract, _OUT_SCHEMA).toPandas()
+    out = map_docs(spark, lake, doc_ids, lambda: rows, _OUT_SCHEMA).toPandas()
     return DirectResult(
         table=out[["doc_id", "attribute", "value"]],
         ranked_attrs=attrs_b,
         tokens=int(out.tokens.sum()),
-        n_docs=len(docs),
+        n_docs=len(rows_for_docs(lake.docs, doc_ids)),
     )

@@ -260,15 +260,13 @@ class MockLLM:
         return chunks[0]
 
     # -- ClosedIE (prompt E.2) --------------------------------------------
-    def closed_extract(self, doc_id: str, attribute: str, doc_text: str) -> tuple[str, int]:
-        """High-quality LLM F extraction of one attribute from one doc."""
-        prompt = prompts.render(prompts.CLOSED_PROMPT, chunk=doc_text, attribute=attribute)
+    def closed_extract(self, doc_id: str, attribute: str, chunk: str) -> tuple[str, int]:
+        """High-quality LLM F extraction of one attribute from one doc's
+        ``chunk`` (the one ``mention_chunk`` picks)."""
+        prompt = prompts.render(prompts.CLOSED_PROMPT, chunk=chunk, attribute=attribute)
         tokens = count_tokens(prompt) + 8
         p = self.profile
         d = self.difficulty
-        n_chunks = max(1, count_tokens(doc_text) // 1000)
-        if p.max_chunks is not None and n_chunks > p.max_chunks:
-            return CHATBOT_REFUSAL, tokens
         canon = self.canonical(attribute) or attribute
         value = self._gold.get(doc_id, {}).get(canon, "")
         if self._u("chatbot", doc_id, canon) < p.chatbot_rate:

@@ -1,8 +1,10 @@
 """Tests for the EVAPORATE-DIRECT pipeline (Spark mapInPandas over docs)."""
+from collections import Counter
+
 import pytest
 
 from repro.core.aggregate import eval_labels
-from repro.core.direct import run_closed_direct, run_direct
+from repro.core.direct import openie_doc, run_closed_direct, run_direct
 from repro.core.metrics import closed_text_f1, pair_f1
 from repro.core.schema import N_SCHEMA_SAMPLE, sample_doc_ids, synthesize_schema
 from repro.llm.mock_llm import CHATBOT_REFUSAL, MockLLM
@@ -92,6 +94,21 @@ class TestDriverAndSparkAgree:
         dr = run_direct(spark, lake, model,
                         doc_ids=sample_doc_ids(lake, N_SCHEMA_SAMPLE))
         assert sr.ledger.by_stage["schema"] == dr.tokens
+
+    def test_direct_ranking_equals_driver_loop(self, request, spark, lake_name, model):
+        """Direct ranks attributes by (-doc count, name) and keeps the
+        head-k attributes' rows, as a driver loop over the same docs does."""
+        lake = request.getfixturevalue(lake_name)
+        ids = sample_doc_ids(lake, N_SCHEMA_SAMPLE)
+        llm = MockLLM(lake, model)
+        merged = {d: openie_doc(llm, d, lake.doc_text[d])[0] for d in ids}
+        doc_counts = Counter(a for m in merged.values() for a in m)
+        ranked = sorted(doc_counts, key=lambda a: (-doc_counts[a], a))
+        head = set(ranked[: len(lake.gold_attrs)])
+        rows = sorted((d, a, v) for d, m in merged.items() for a, v in m.items() if a in head)
+        res = run_direct(spark, lake, model, doc_ids=ids)
+        assert res.ranked_attrs == ranked
+        assert sorted(map(tuple, res.table.values.tolist())) == rows
 
     def test_eval_labels_equal_closed_direct(self, request, spark, lake_name, model):
         lake = request.getfixturevalue(lake_name)

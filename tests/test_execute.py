@@ -1,6 +1,8 @@
 """Tests for scale-out function execution over Spark."""
 import pytest
 
+from repro.core.direct import run_closed_direct, run_direct
+from repro.core.evaporate import run_code
 from repro.core.execute import run_functions
 from repro.core.synthesis import compile_candidate, generate_candidates
 
@@ -63,3 +65,24 @@ class TestRunFunctions:
                FROM votes WHERE value <> '' GROUP BY attribute""",
             votes=votes_pd,
         )
+
+
+VIEW = ["doc_id", "attribute", "value"]
+
+
+@pytest.mark.parametrize("lake_pass,columns,expect", [
+    (lambda spark, lake, cands: run_direct(spark, lake, doc_ids=[]),
+     VIEW, {"tokens": 0, "n_docs": 0, "ranked_attrs": []}),
+    (lambda spark, lake, cands: run_closed_direct(spark, lake, lake.gold_attrs, doc_ids=[]),
+     VIEW, {"tokens": 0, "n_docs": 0}),
+    (lambda spark, lake, cands: run_functions(spark, lake, cands, doc_ids=[]).toPandas(),
+     ["doc_id", "attribute", "fid", "value"], {}),
+    (lambda spark, lake, cands: run_code(spark, lake, doc_ids=[]), VIEW, {}),
+], ids=["run_direct", "run_closed_direct", "run_functions", "run_code"])
+def test_empty_doc_selection(spark, fda_lake, fda_cands, lake_pass, columns, expect):
+    """Every lake pass over an empty doc selection gives an empty table
+    with its usual columns; the Direct runs spend no tokens."""
+    res = lake_pass(spark, fda_lake, fda_cands)
+    table = getattr(res, "table", res)
+    assert table.empty and list(table.columns) == columns
+    assert {k: getattr(res, k) for k in expect} == expect

@@ -75,17 +75,30 @@ class TestHelpers:
         assert math.isnan(tables._mean([], "x"))
 
 
+def _run_all(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"}
+    return subprocess.run(
+        [sys.executable, str(root / "jobs" / "run_all.py"), *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestRunAllCli:
     @pytest.mark.parametrize("args", [["table9"], ["table6", "table9"]])
     def test_unknown_table_exits_before_writing(self, tmp_path, args):
         """An unknown name fails the whole call up front: no table runs,
         not even the valid ones named before it."""
-        root = Path(__file__).resolve().parents[1]
         (tmp_path / "results").mkdir()
-        env = {**os.environ, "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}"}
-        proc = subprocess.run(
-            [sys.executable, str(root / "jobs" / "run_all.py"), *args],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        proc = _run_all(tmp_path, *args)
         assert proc.returncode != 0
         assert "unknown table(s): table9" in proc.stderr
         assert list((tmp_path / "results").iterdir()) == []
+
+    def test_missing_results_dir_exits_before_spark(self, tmp_path):
+        """Started outside the repo root, a valid table fails up front
+        instead of after computing the table."""
+        proc = _run_all(tmp_path, "table6")
+        assert proc.returncode != 0
+        assert "no results/ directory" in proc.stderr
+        assert "===" not in proc.stdout
+        assert list(tmp_path.iterdir()) == []
