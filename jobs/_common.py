@@ -8,8 +8,10 @@ from pyspark.sql import SparkSession
 def build_session(app: str) -> SparkSession:
     """The one SparkSession recipe: jobs, ``run_all``, and pytest's fixture.
 
-    Broadcast joins are disabled so the shuffle path is what runs; these
-    pipelines are join-light (votes x weights, pred x gold).
+    Automatic broadcast joins are disabled, so no size estimate picks a
+    join strategy. These pipelines are join-light: the one join, votes x
+    weights in ``aggregate_votes_spark``, broadcasts its small weight
+    table by an explicit hint.
     """
     return (
         SparkSession.builder.appName(app)

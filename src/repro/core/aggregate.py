@@ -17,8 +17,10 @@ Steps, mapped to the paper's pseudocode:
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
@@ -83,20 +85,47 @@ def eval_labels(
     return out
 
 
+Votes = dict[str, dict[str, str]]  # doc -> fid -> value, one attribute's votes
+
+
+def group_votes(
+    votes: pd.DataFrame, attrs: list[str], doc_ids: list[str],
+    candidates: list[Candidate],
+) -> Iterator[tuple[str, Votes]]:
+    """``(attribute, votes)`` for each of ``attrs``, in order, from one
+    sort of the frame; each attribute's dicts are built only when it is
+    reached, so the driver holds one attribute's copy. Docs follow
+    ``doc_ids`` and each doc's votes follow ``candidates``, however the
+    frame's rows are ordered: the WS fit sums a doc's votes in dict
+    order, and the validation sample is the first kept values."""
+    attr_pos = {a: k for k, a in enumerate(attrs)}
+    doc_pos = {d: i for i, d in enumerate(doc_ids)}
+    fid_pos = {c.fid: j for j, c in enumerate(candidates)}
+    a_pos = votes.attribute.map(attr_pos).to_numpy()
+    key = (a_pos * len(doc_pos) + votes.doc_id.map(doc_pos)) * len(fid_pos) \
+        + votes.fid.map(fid_pos)
+    order = np.argsort(key.to_numpy(), kind="stable")
+    bounds = np.searchsorted(a_pos[order], np.arange(len(attrs) + 1))
+    doc, fid, value = (votes[c].to_numpy() for c in ("doc_id", "fid", "value"))
+    for k, a in enumerate(attrs):
+        out: Votes = {}
+        for i in order[bounds[k]:bounds[k + 1]]:
+            out.setdefault(doc[i], {})[fid[i]] = value[i]
+        yield a, out
+
+
 def score_and_plan(
     attr: str,
     candidates: list[Candidate],
-    votes_eval: pd.DataFrame,
     labels: dict[str, str],
-    votes_all: pd.DataFrame,
+    votes: Votes,
     cfg: AggConfig,
 ) -> AttrPlan:
-    """Steps 3-5 + label-model fitting for one attribute."""
+    """Steps 3-5 + label-model fitting for one attribute, from its
+    ``group_votes`` entry (which covers D_eval)."""
     e = (
         sum(1 for v in labels.values() if v) / len(labels) if labels else 0.0
     )
-    ev = votes_eval[votes_eval.attribute == attr]
-    vote_of = {(r.doc_id, r.fid): r.value for r in ev.itertuples()}
     fids = [c.fid for c in candidates if c.attribute == attr]
 
     # Scoring regime: without abstention-handling, functions are scored
@@ -109,7 +138,7 @@ def score_and_plan(
     for fid in fids:
         ms: list[float] = []
         for d, lab in labels.items():
-            vote = vote_of.get((d, fid), "")
+            vote = votes.get(d, {}).get(fid, "")
             if fired_only and not vote:
                 continue
             ms.append(text_f1_strings(lab, vote))
@@ -128,15 +157,13 @@ def score_and_plan(
     drop_empty = e > TAU if cfg.use_abstain else True
     weights = {f: 1.0 for f in kept}
     if cfg.method == "ws" and kept:
-        av = votes_all[(votes_all.attribute == attr) & votes_all.fid.isin(kept)]
-        votes: dict[str, dict[str, str]] = {}
-        for r in av.itertuples():
-            val = r.value
-            if not val and drop_empty:
-                continue  # abstention
-            votes.setdefault(r.doc_id, {})[r.fid] = val
-        votes = {d: _top_b(v, B) for d, v in votes.items()}
-        model = fit_label_model(votes, kept)
+        keep = set(kept)
+        fit_votes: Votes = {}
+        for d, v in votes.items():
+            mine = {f: x for f, x in v.items() if f in keep and (x or not drop_empty)}
+            if mine:  # a doc where every kept function abstains is left out
+                fit_votes[d] = _top_b(mine, B)
+        model = fit_label_model(fit_votes, kept)
         weights = {f: model.weight(f) for f in kept}
     return AttrPlan(attr, e, scores, kept, weights, drop_empty)
 
@@ -157,10 +184,10 @@ def aggregate_votes_spark(
 ) -> DataFrame:
     """Step 7 at scale: weighted vote per (doc, attribute) in Spark.
 
-    Joins the votes DataFrame with the per-function weight table, applies
-    the abstention rule and per-document top-B bucketing with window
-    functions, and picks the argmax-weight value per cell. Returns
-    ``(doc_id, attribute, value)`` with empty/no-vote cells absent.
+    Joins the votes DataFrame with the broadcast per-function weight
+    table, applies the abstention rule and per-document top-B bucketing
+    with window functions, and picks the argmax-weight value per cell.
+    Returns ``(doc_id, attribute, value)`` with empty/no-vote cells absent.
     """
     rows = [
         (p.attribute, fid, float(p.weights.get(fid, 1.0)), bool(p.drop_empty))
@@ -171,8 +198,12 @@ def aggregate_votes_spark(
         pd.DataFrame(rows, columns=["attribute", "fid", "weight", "drop_empty"]),
         schema="attribute string, fid string, weight double, drop_empty boolean",
     )
-    v = votes.join(wdf, on=["attribute", "fid"], how="inner")
+    # One shuffle: the weight table (at most attrs x TOP_M rows, whatever
+    # the lake) is broadcast into the join, and the hash partitioning on
+    # (doc_id, attribute) serves the groupBy and both windows.
+    v = votes.join(F.broadcast(wdf), on=["attribute", "fid"], how="inner")
     v = v.filter(~(F.col("drop_empty") & (F.col("value") == "")))
+    v = v.repartition("doc_id", "attribute")
 
     # per-doc top-b bucketing on raw counts
     cell = Window.partitionBy("doc_id", "attribute")
@@ -192,6 +223,6 @@ def aggregate_votes_spark(
 
 
 __all__ = [
-    "AggConfig", "AGGREGATORS", "AttrPlan", "eval_labels", "score_and_plan",
-    "aggregate_votes_spark",
+    "AggConfig", "AGGREGATORS", "AttrPlan", "Votes", "eval_labels", "group_votes",
+    "score_and_plan", "aggregate_votes_spark",
 ]

@@ -10,6 +10,7 @@ re-synthesizing anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -20,7 +21,7 @@ from repro.core.schema import (N_SCHEMA_SAMPLE, SchemaResult, sample_doc_ids,
                                synthesize_schema)
 from repro.core.synthesis import Candidate, generate_candidates
 from repro.core.execute import run_functions
-from repro.lakes.base import DataLake, rows_for_docs
+from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 
@@ -53,7 +54,6 @@ class CodeArtifacts:
     candidates: list[Candidate]
     votes: object  # persisted Spark DataFrame (doc_id, attribute, fid, value)
     votes_all: pd.DataFrame
-    votes_eval: pd.DataFrame
     labels: dict[str, dict[str, str]]  # attr -> doc -> LLM F label
     eval_ids: list[str]
     doc_ids: list[str] | None
@@ -101,14 +101,13 @@ def prepare_code(
         run_ids = sorted(set(doc_ids) | set(eval_ids))
     votes = run_functions(spark, lake, candidates, run_ids).persist()
     votes_all = votes.toPandas()
-    votes_eval = rows_for_docs(votes_all, eval_ids)
 
     labels = {
         a: agg.eval_labels(lake, llm, a, eval_ids, ledger) for a in attrs
     }
     return CodeArtifacts(
         lake=lake, llm=llm, attrs=attrs, candidates=candidates,
-        votes=votes, votes_all=votes_all, votes_eval=votes_eval, labels=labels,
+        votes=votes, votes_all=votes_all, labels=labels,
         eval_ids=eval_ids, doc_ids=doc_ids, ledger=ledger, schema=schema,
     )
 
@@ -123,18 +122,14 @@ def finish_code_plus(
     ledger = TokenLedger().merge(art.ledger)
 
     plans: dict[str, agg.AttrPlan] = {}
-    for a in art.attrs:
-        plan = agg.score_and_plan(
-            a, art.candidates, art.votes_eval, art.labels[a],
-            art.votes_all, cfg,
-        )
+    for a, votes_a in agg.group_votes(art.votes_all, art.attrs, list(art.lake.docs.doc_id),
+                                      art.candidates):
+        plan = agg.score_and_plan(a, art.candidates, art.labels[a], votes_a, cfg)
         if plan.alive:
-            sample_vals = [
-                v for v in art.votes_all[
-                    (art.votes_all.attribute == a)
-                    & art.votes_all.fid.isin(plan.kept)
-                ].value.tolist() if v
-            ][:5]
+            # the first 5 non-empty kept values, in (doc, candidate) order
+            keep = set(plan.kept)
+            sample_vals = list(islice(
+                (x for v in votes_a.values() for f, x in v.items() if x and f in keep), 5))
             ok, t = art.llm.validate_attribute(a, sample_vals)
             ledger.add("validation", t)
             if not ok:

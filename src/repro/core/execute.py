@@ -5,8 +5,9 @@ per-document row function over it in a ``mapInPandas`` UDF: function
 execution here, Direct OpenIE and ClosedIE in ``direct.py``. Function
 execution is the cheap side of the paper's cost asymmetry: functions
 process every document *without* the LLM. Their sources ride into the UDF
-as strings and are compiled once per partition, so machine-written code
-never executes on the driver; the output is a long votes DataFrame
+as strings and each distinct source is compiled once per partition and
+applied once per document, so machine-written code never executes on the
+driver; the output is a long votes DataFrame
 ``(doc_id, attribute, fid, value)`` consumed by Algorithm 1.
 """
 from __future__ import annotations
@@ -44,20 +45,34 @@ def map_docs(spark: SparkSession, lake: DataLake, doc_ids: list[str] | None,
     return sdf.mapInPandas(apply, schema)
 
 
+def function_rows(candidates: list[Candidate]) -> Callable[[], RowFn]:
+    """``run_functions``' per-partition setup. Candidates that share a
+    ``(source, fn_name)`` (two sample docs of one formatting variant)
+    compile once and run once per document; the value fans out to each
+    of their fids, in candidate order."""
+    sources = list(dict.fromkeys((c.source, c.fn_name) for c in candidates))
+    slot = {s: i for i, s in enumerate(sources)}
+    fanout = [(c.attribute, c.fid, slot[(c.source, c.fn_name)]) for c in candidates]
+
+    def setup() -> RowFn:
+        fns = [compile_candidate(Candidate("?", "?", "?", src, fn_name))
+               for src, fn_name in sources]
+
+        def row_fn(doc_id: str, text: str) -> list[tuple]:
+            values = [fn(text) for fn in fns]
+            return [(doc_id, attr, fid, values[i]) for attr, fid, i in fanout]
+
+        return row_fn
+
+    return setup
+
+
 def run_functions(
     spark: SparkSession,
     lake: DataLake,
     candidates: list[Candidate],
     doc_ids: list[str] | None = None,
 ) -> DataFrame:
-    """Apply every candidate function to every document -> votes DF."""
-    cand_list = [(c.fid, c.attribute, c.source, c.fn_name) for c in candidates]
-
-    def setup() -> RowFn:
-        compiled = [
-            (fid, attr, compile_candidate(Candidate(fid, attr, "?", src, fn_name)))
-            for fid, attr, src, fn_name in cand_list
-        ]
-        return lambda doc_id, text: [(doc_id, attr, fid, fn(text)) for fid, attr, fn in compiled]
-
-    return map_docs(spark, lake, doc_ids, setup, VOTES_SCHEMA)
+    """Apply every candidate function to every document -> votes DF,
+    one ``(doc_id, attribute, fid, value)`` row per doc and candidate."""
+    return map_docs(spark, lake, doc_ids, function_rows(candidates), VOTES_SCHEMA)

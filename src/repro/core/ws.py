@@ -8,14 +8,13 @@ the one-coin assumption, needed because the "classes" (candidate value
 strings) differ per document.
 
 Fitting is EM over the collected vote matrix (driver-side: |docs| x
-the <= top-m functions Algorithm 1 keeps). Inference is an
-accuracy-weighted log-odds vote, applied at scale as a Spark
-join/groupBy in ``aggregate.py``.
+the <= top-m functions Algorithm 1 keeps), one sweep over the docs per
+iteration. Inference is an accuracy-weighted log-odds vote, applied at
+scale as a Spark join/groupBy in ``aggregate.py``.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 B = 4  # classes per doc: Algorithm 1 keeps each doc's top-b value buckets
@@ -53,27 +52,27 @@ def fit_label_model(
     acc = {f: 0.7 for f in fids}
     if not votes:
         return LabelModel(acc)
+    unknown = _log_odds(0.5)
     for _ in range(N_ITER):
         # E-step: current best guess per doc via weighted vote (acc is
-        # always within the clip bounds, so no clip is needed here)
+        # always within the clip bounds, so no clip is needed here); the
+        # M-step's per-function agreement counts ride the same sweep
         weight = {f: _log_odds(p) for f, p in acc.items()}
-        unknown = _log_odds(0.5)
-        guesses: dict[str, str] = {}
-        for doc, v in votes.items():
+        hits = dict.fromkeys(acc, 0)
+        totals = dict.fromkeys(acc, 0)
+        for v in votes.values():
             if not v:
                 continue
-            scores: Counter = Counter()
+            scores: dict[str, float] = {}
             for fid, val in v.items():
-                scores[val] += weight.get(fid, unknown)
-            guesses[doc] = max(sorted(scores), key=lambda k: scores[k])
+                scores[val] = scores.get(val, 0) + weight.get(fid, unknown)
+            guess = max(sorted(scores), key=scores.__getitem__)
+            for fid, val in v.items():
+                if fid in totals:
+                    totals[fid] += 1
+                    hits[fid] += val == guess
         # M-step: per-function agreement with the guesses
-        for fid in fids:
-            n_tot = n_hit = 0
-            for doc, v in votes.items():
-                if fid in v and doc in guesses:
-                    n_tot += 1
-                    n_hit += int(v[fid] == guesses[doc])
+        for fid, n_tot in totals.items():
             if n_tot:
-                acc[fid] = _clip(n_hit / n_tot)
+                acc[fid] = _clip(hits[fid] / n_tot)
     return LabelModel({f: _clip(p) for f, p in acc.items()})
-

@@ -6,8 +6,9 @@ from pyspark.sql import functions as F
 
 from repro.core.aggregate import (AGGREGATORS, AggConfig, AttrPlan, _top_b,
                                   aggregate_votes_spark, eval_labels,
-                                  score_and_plan)
+                                  group_votes, score_and_plan)
 from repro.core.synthesis import Candidate
+from repro.core.ws import B
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 from repro.oracle import assert_equivalent
@@ -19,6 +20,14 @@ def _mk_cands(attr, fids):
 
 def _votes(rows):
     return pd.DataFrame(rows, columns=["doc_id", "attribute", "fid", "value"])
+
+
+def _plan(cands, rows, labels, cfg):
+    """``score_and_plan`` over attribute "a"'s vote rows, grouped the way
+    ``finish_code_plus`` groups them."""
+    docs = list(dict.fromkeys(r[0] for r in rows))
+    [(_, votes)] = group_votes(_votes(rows), ["a"], docs, cands)
+    return score_and_plan("a", cands, labels, votes, cfg)
 
 
 class TestAggregators:
@@ -61,9 +70,7 @@ class TestScoreAndPlan:
             labels[d] = f"v{i}"
             eval_rows.append((d, "a", "good", f"v{i}"))
             eval_rows.append((d, "a", "bad", "junk"))
-        votes = _votes(eval_rows)
-        plan = score_and_plan("a", cands, votes, labels, votes,
-                              AGGREGATORS["ws_abstain_filter"])
+        plan = _plan(cands, eval_rows, labels, AGGREGATORS["ws_abstain_filter"])
         assert "good" in plan.kept and "bad" not in plan.kept
         assert plan.scores["good"] > 0.9 > plan.scores["bad"]
 
@@ -74,8 +81,7 @@ class TestScoreAndPlan:
         labels = {f"d{i}": f"v{i}" for i in range(10)}
         rows = [("d0", "a", "narrow", "v0"), ("d1", "a", "narrow", "v1")]
         rows += [(f"d{i}", "a", "narrow", "") for i in range(2, 10)]
-        plan = score_and_plan("a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["ws_abstain_filter"])
+        plan = _plan(cands, rows, labels, AGGREGATORS["ws_abstain_filter"])
         assert plan.e == 1.0
         assert plan.kept == ["narrow"]  # scored only where it fired
 
@@ -83,8 +89,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", ["quiet"])
         labels = {f"d{i}": "" for i in range(10)}  # attribute absent
         rows = [(f"d{i}", "a", "quiet", "") for i in range(10)]
-        plan = score_and_plan("a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["ws_abstain_filter"])
+        plan = _plan(cands, rows, labels, AGGREGATORS["ws_abstain_filter"])
         assert plan.e == 0.0
         assert not plan.drop_empty
         assert plan.kept == ["quiet"]  # f1("","") == 1 on every doc
@@ -93,8 +98,7 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", ["bad"])
         labels = {f"d{i}": f"v{i}" for i in range(5)}
         rows = [(f"d{i}", "a", "bad", "junk") for i in range(5)]
-        plan = score_and_plan("a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["mv"])
+        plan = _plan(cands, rows, labels, AGGREGATORS["mv"])
         assert plan.kept == ["bad"]
 
     def test_top_m_cap(self):
@@ -102,16 +106,14 @@ class TestScoreAndPlan:
         cands = _mk_cands("a", fids)
         labels = {"d0": "v"}
         rows = [("d0", "a", f, "v") for f in fids]
-        plan = score_and_plan("a", cands, _votes(rows), labels,
-                              _votes(rows), AggConfig())
+        plan = _plan(cands, rows, labels, AggConfig())
         assert len(plan.kept) == 10
 
     def test_dead_attribute(self):
         cands = _mk_cands("a", ["f1"])
         labels = {f"d{i}": f"v{i}" for i in range(5)}
         rows = [(f"d{i}", "a", "f1", "wrong") for i in range(5)]
-        plan = score_and_plan("a", cands, _votes(rows), labels,
-                              _votes(rows), AGGREGATORS["ws_abstain_filter"])
+        plan = _plan(cands, rows, labels, AGGREGATORS["ws_abstain_filter"])
         assert not plan.alive
 
 
@@ -205,6 +207,64 @@ class TestSparkAggregation:
                SELECT doc_id, value FROM ranked WHERE rn = 1""",
             votes=votes_pd, weights=weights_pd,
         )
+
+    def test_top_b_buckets_match_duckdb_oracle(self, spark):
+        """Cells with more than B distinct values: only each cell's B
+        most-voted values (ties by value) can win, so a heavy function
+        voting a rare value loses to lighter but more common ones. The
+        SQL spells out the bucketing window."""
+        weights = {f"f{j}": 1.0 for j in range(10)}
+        weights["heavy"] = 50.0
+        # d0: x 3 votes, then b, c, d, e 2 each, heavy's z 1: the buckets
+        # are x, b, c, d (count, then value), so e and z drop and x wins
+        rows = [("d0", "a", f, v) for f, v in zip(
+            weights, ["x", "x", "x", "e", "e", "d", "d", "c", "c", "b", "z"])]
+        # d1: five singletons; heavy's a5 is fifth in value order and drops,
+        # and the four kept values tie on score, so a0 wins by value
+        rows += [("d1", "a", f"f{j}", f"a{j}") for j in range(4)]
+        rows.append(("d1", "a", "heavy", "a5"))
+        # d2: heavy votes with a top bucket and wins it outright
+        rows += [("d2", "a", f, v) for f, v in zip(
+            weights, ["p", "p", "q", "q", "r", "r", "s", "t", "u", "v", "q"])]
+        # d3: m and k tie on count and score, k wins by value; p and
+        # heavy's zz are fifth and sixth and drop
+        rows += [("d3", "a", f, v) for f, v in zip(
+            weights, ["m", "m", "k", "k", "n", "o", "p"])]
+        rows.append(("d3", "a", "heavy", "zz"))
+        votes_pd = _votes(rows)
+        plans = {"a": AttrPlan("a", 1.0, {}, list(weights), weights, True)}
+        out = aggregate_votes_spark(spark, spark.createDataFrame(votes_pd), plans)
+        assert dict(out.select("doc_id", "value").collect()) == {
+            "d0": "x", "d1": "a0", "d2": "q", "d3": "k"}
+        weights_pd = pd.DataFrame(list(weights.items()), columns=["fid", "weight"])
+        assert_equivalent(
+            out.select("doc_id", "value"),
+            f"""WITH counted AS (
+                 SELECT v.doc_id, v.value, COUNT(*) AS n, SUM(w.weight) AS s
+                 FROM votes v JOIN weights w USING (fid)
+                 WHERE v.value <> '' GROUP BY v.doc_id, v.value),
+               bucketed AS (
+                 SELECT *, ROW_NUMBER() OVER (PARTITION BY doc_id
+                                              ORDER BY n DESC, value ASC) AS br
+                 FROM counted),
+               ranked AS (
+                 SELECT doc_id, value,
+                        ROW_NUMBER() OVER (PARTITION BY doc_id
+                                           ORDER BY s DESC, value ASC) AS rn
+                 FROM bucketed WHERE br <= {B})
+               SELECT doc_id, value FROM ranked WHERE rn = 1""",
+            votes=votes_pd, weights=weights_pd,
+        )
+
+    def test_one_shuffle(self, spark):
+        """The weight table is broadcast into the join, and the vote's
+        groupBy and both windows share one hash partitioning."""
+        votes = spark.createDataFrame(_votes([("d1", "a", "f1", "x")]))
+        plans = {"a": AttrPlan("a", 1.0, {}, ["f1"], {"f1": 1.0}, True)}
+        plan = aggregate_votes_spark(spark, votes, plans)._jdf.queryExecution() \
+            .executedPlan().toString()
+        assert plan.count("Exchange hashpartitioning") == 1
+        assert plan.count("BroadcastExchange") == 1
 
 
 class TestSingleFunction:

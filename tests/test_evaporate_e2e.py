@@ -3,6 +3,8 @@
 Uses one shared ``prepare_code`` artifact per lake (module-scoped) so the
 suite exercises the full pipeline without repaying synthesis each test.
 """
+from dataclasses import replace
+
 import pytest
 
 from repro.core import evaporate
@@ -143,6 +145,26 @@ class TestOneLLMPerRun:
         monkeypatch.setattr(MockLLM, "__init__", counting_init)
         evaporate.run_code_plus(spark, enron_lake)
         assert len(calls) == 1
+
+
+class TestVoteRowOrderInvariance:
+    @pytest.mark.parametrize("permute", [
+        lambda f: f.iloc[::-1],
+        lambda f: f.sample(frac=1.0, random_state=7),
+    ], ids=["reversed", "shuffled"])
+    @pytest.mark.parametrize("aggregator", ["ws", "ws_abstain_filter"])
+    def test_plans_tokens_table_independent_of_row_order(
+            self, spark, fda_art, permute, aggregator):
+        """The validation sample and the WS fit read the votes in (doc,
+        candidate) order, not in the order Spark happened to collect."""
+        want = evaporate.finish_code_plus(spark, fda_art, aggregator)
+        art = replace(fda_art, votes_all=permute(fda_art.votes_all).reset_index(drop=True))
+        got = evaporate.finish_code_plus(spark, art, aggregator)
+        assert got.plans == want.plans
+        assert got.ledger.by_stage == want.ledger.by_stage
+        key = ["doc_id", "attribute"]
+        assert got.table.sort_values(key).reset_index(drop=True).equals(
+            want.table.sort_values(key).reset_index(drop=True))
 
 
 class TestPartitionInvariance:

@@ -1,9 +1,13 @@
 """Tests for scale-out function execution over Spark."""
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro.core import execute
 from repro.core.direct import run_closed_direct, run_direct
 from repro.core.evaporate import run_code
-from repro.core.execute import run_functions
+from repro.core.execute import function_rows, run_functions
 from repro.core.synthesis import compile_candidate, generate_candidates
 
 
@@ -65,6 +69,53 @@ class TestRunFunctions:
                FROM votes WHERE value <> '' GROUP BY attribute""",
             votes=votes_pd,
         )
+
+
+class TestDistinctSources:
+    """Candidates that share a ``(source, fn_name)`` run once per doc and
+    fan their value out to every fid."""
+
+    @pytest.fixture(scope="class")
+    def shared_cands(self, fda_cands):
+        # each run of three candidates (six per attribute) takes the source
+        # of its first one
+        heads = [fda_cands[k - k % 3] for k in range(len(fda_cands))]
+        out = [replace(c, source=h.source, fn_name=h.fn_name)
+               for c, h in zip(fda_cands, heads)]
+        assert len({(c.source, c.fn_name) for c in out}) <= len(out) // 3
+        return out
+
+    def test_rows_values_and_order(self, spark, fda_lake, shared_cands):
+        votes = run_functions(spark, fda_lake, shared_cands).toPandas()
+        docs = list(fda_lake.docs.doc_id)
+        assert list(zip(votes.doc_id, votes.fid)) == [
+            (d, c.fid) for d in docs for c in shared_cands]
+        text_of = dict(zip(fda_lake.docs.doc_id, fda_lake.docs.text))
+        local = {(d, c.fid): compile_candidate(c)(text_of[d])
+                 for c in shared_cands for d in docs}
+        assert dict(zip(zip(votes.doc_id, votes.fid), votes.value)) == local
+
+    def test_each_source_applied_once_per_doc(self, fda_lake, shared_cands, monkeypatch):
+        compiled, applied = Counter(), Counter()
+
+        def counting_compile(cand):
+            fn = compile_candidate(cand)
+            compiled[cand.source] += 1
+
+            def counted(text):
+                applied[cand.source] += 1
+                return fn(text)
+
+            return counted
+
+        monkeypatch.setattr(execute, "compile_candidate", counting_compile)
+        row_fn = function_rows(shared_cands)()  # the executor's setup, run here
+        rows = [row for d, t in zip(fda_lake.docs.doc_id, fda_lake.docs.text)
+                for row in row_fn(d, t)]
+        sources = {c.source for c in shared_cands}
+        assert len(rows) == fda_lake.n_docs * len(shared_cands)
+        assert compiled == Counter(dict.fromkeys(sources, 1))
+        assert applied == Counter(dict.fromkeys(sources, fda_lake.n_docs))
 
 
 VIEW = ["doc_id", "attribute", "value"]

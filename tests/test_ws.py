@@ -1,7 +1,10 @@
 """Tests for the one-coin Dawid-Skene label model."""
+import random
+from collections import Counter
+
 import pytest
 
-from repro.core.ws import LabelModel, _clip, fit_label_model
+from repro.core.ws import N_ITER, LabelModel, _clip, _log_odds, fit_label_model
 
 
 def synthetic_votes(n_docs=60, good_acc=0.9, bad_acc=0.2):
@@ -66,6 +69,53 @@ class TestFitLabelModel:
         votes = {f"d{i}": {"f1": "same"} for i in range(10)}
         model = fit_label_model(votes, ["f1"])
         assert model.accuracies["f1"] <= 0.95
+
+
+def reference_fit(votes, fids):
+    """The EM loop as first written: an E-step over the docs, then an
+    M-step that rescans every doc once per function."""
+    acc = {f: 0.7 for f in fids}
+    if not votes:
+        return acc
+    for _ in range(N_ITER):
+        weight = {f: _log_odds(p) for f, p in acc.items()}
+        unknown = _log_odds(0.5)
+        guesses = {}
+        for doc, v in votes.items():
+            if not v:
+                continue
+            scores = Counter()
+            for fid, val in v.items():
+                scores[val] += weight.get(fid, unknown)
+            guesses[doc] = max(sorted(scores), key=lambda k: scores[k])
+        for fid in fids:
+            n_tot = n_hit = 0
+            for doc, v in votes.items():
+                if fid in v and doc in guesses:
+                    n_tot += 1
+                    n_hit += int(v[fid] == guesses[doc])
+            if n_tot:
+                acc[fid] = _clip(n_hit / n_tot)
+    return {f: _clip(p) for f, p in acc.items()}
+
+
+class TestMatchesReferenceLoop:
+    def test_accuracies_bit_identical(self):
+        """300 seeded random vote dicts, with abstentions, empty docs,
+        votes from a function outside ``fids`` and few distinct values
+        (so weighted ties happen), fit to exactly the reference loop's
+        accuracies."""
+        for seed in range(300):
+            rng = random.Random(seed)
+            fids = [f"f{j}" for j in range(rng.randint(1, 6))]
+            voters = fids + ["outside"] * rng.randint(0, 1)
+            values = [f"v{k}" for k in range(rng.randint(1, 4))]
+            votes = {}
+            for i in range(rng.randint(0, 30)):
+                v = {f: rng.choice(values) for f in voters if rng.random() < 0.6}
+                votes[f"d{i}"] = dict(sorted(v.items(), key=lambda _: rng.random()))
+            got = fit_label_model(votes, fids).accuracies
+            assert got == reference_fit(votes, fids), seed
 
 
 class TestLabelModelWeight:
