@@ -20,6 +20,8 @@ import pandas as pd
 
 from repro.lakes.base import DataLake, rows_for_docs
 
+TRAIN_FRAC = 0.3  # share of a site's pages labelled for training
+
 # Leaf-node shapes the wrapper-induction baseline can learn. Deliberately
 # excludes <title>/tag-attribute placements (not leaf text).
 _LEAF_SHAPES = [
@@ -92,23 +94,21 @@ class DomExtractor:
         return pd.DataFrame(rows, columns=["doc_id", "attribute", "value"])
 
 
-def train_test_split(lake: DataLake, train_frac: float = 0.3):
+def train_test_split(lake: DataLake):
     """Deterministic in-domain split (the baselines require labelled
     training pages from the same site — Evaporate does not)."""
     ids = sorted(lake.docs.doc_id)
-    n_train = max(1, int(len(ids) * train_frac))
+    n_train = max(1, int(len(ids) * TRAIN_FRAC))
     train_ids, test_ids = set(ids[:n_train]), set(ids[n_train:])
     return train_ids, test_ids
 
 
-def run_dom_baseline(
-    lake: DataLake, train_frac: float = 0.3
-) -> tuple[pd.DataFrame, list[str], set[str]]:
+def run_dom_baseline(lake: DataLake) -> tuple[pd.DataFrame, list[str], set[str]]:
     """Fit on the train split, extract on the test split.
 
     Returns (predictions, attrs, test_ids).
     """
-    train_ids, test_ids = train_test_split(lake, train_frac)
+    train_ids, test_ids = train_test_split(lake)
     model = DomExtractor().fit(rows_for_docs(lake.docs, train_ids),
                                rows_for_docs(lake.gold, train_ids))
     preds = model.extract(rows_for_docs(lake.docs, test_ids), lake.gold_attrs)

@@ -65,13 +65,13 @@ def run_direct(
     model: str = "davinci",
     seed: int = 0,
     doc_ids: list[str] | None = None,
-    top_k: int | None = None,
 ) -> DirectResult:
     """Run the direct-extraction pipeline over the lake (or a doc sample).
 
     One Spark job: the per-doc extractions, plus a null-attribute row per
     doc carrying its tokens, are collected once; the driver ranks
-    attributes by (-distinct docs, name) and keeps the head-k rows.
+    attributes by (-distinct docs, name) and keeps the rows of the head
+    k = |gold attributes|.
     """
     llm = MockLLM(lake, model, seed)
 
@@ -83,8 +83,7 @@ def run_direct(
     ext = raw[raw.attribute.notna()]
     doc_counts = ext.groupby("attribute").doc_id.nunique()
     ranked = [a for a, _ in sorted(doc_counts.items(), key=lambda an: (-an[1], an[0]))]
-    k = top_k if top_k is not None else len(lake.gold_attrs)
-    table = ext[ext.attribute.isin(ranked[:k])].reset_index(drop=True)
+    table = ext[ext.attribute.isin(ranked[: len(lake.gold_attrs)])].reset_index(drop=True)
     return DirectResult(
         table=table[["doc_id", "attribute", "value"]],
         ranked_attrs=ranked,

@@ -32,7 +32,6 @@ N_FN_SAMPLE = 5  # docs whose chunks seed function synthesis (§4.4.1)
 class RunResult:
     """Structured view + provenance for one pipeline run."""
 
-    mode: str  # "direct" | "code" | "code_plus"
     table: pd.DataFrame  # (doc_id, attribute, value)
     attrs: list[str]
     ledger: TokenLedger
@@ -141,7 +140,7 @@ def finish_code_plus(
         votes = votes.filter(F.col("doc_id").isin(set(art.doc_ids)))
     table = agg.aggregate_votes_spark(spark, votes, plans).toPandas()
     return RunResult(
-        mode="code_plus", table=table, attrs=[a for a in art.attrs if plans[a].alive],
+        table=table, attrs=[a for a in art.attrs if plans[a].alive],
         ledger=ledger, schema=art.schema, plans=plans,
     )
 
@@ -192,5 +191,4 @@ def run_code(
         for c in candidates
     }
     table = agg.aggregate_votes_spark(spark, votes, plans).toPandas()
-    return RunResult(mode="code", table=table, attrs=attrs, ledger=ledger,
-                     schema=schema)
+    return RunResult(table=table, attrs=attrs, ledger=ledger, schema=schema)

@@ -35,8 +35,9 @@ def _log_odds(p: float) -> float:
     return math.log(p * (B - 1) / (1 - p))
 
 
-def _clip(p: float, lo: float = 0.05, hi: float = 0.95) -> float:
-    return min(hi, max(lo, p))
+def _clip(p: float) -> float:
+    """Keep an accuracy in [0.05, 0.95], so every log-odds weight is finite."""
+    return min(0.95, max(0.05, p))
 
 
 def fit_label_model(

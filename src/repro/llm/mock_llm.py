@@ -144,23 +144,27 @@ class MockLLM:
     TokenLedger on the driver elsewhere).
     """
 
-    def __init__(self, lake: DataLake, profile: ModelProfile | str = "davinci",
-                 seed: int = 0) -> None:
-        self.profile = PROFILES[profile] if isinstance(profile, str) else profile
+    def __init__(self, lake: DataLake, profile: str = "davinci", seed: int = 0) -> None:
+        self.profile = PROFILES[profile]
         self.seed = seed
         self.lake_name = lake.name
         self.topic = lake.topic
-        self.fmt = lake.fmt
         self.difficulty = lake.difficulty
         self.fragility = lake.fn_fragility
         self.aliases = dict(lake.aliases)
+        # Each canonical attribute's surface forms, itself included, in the
+        # order keyword search and function synthesis try them: longest
+        # first, ties by name (never by set iteration order).
+        forms: dict[str, set[str]] = {}
+        for surf, canon in self.aliases.items():
+            forms.setdefault(canon, {canon}).add(surf)
+        self._surfaces = {c: sorted(f, key=lambda s: (-len(s), s)) for c, f in forms.items()}
         # The LLM extracts what is *in the documents* — gold attributes
         # plus distractor fields (lake.facts) — not what the evaluators
         # later chose to annotate.
-        facts = lake.facts if lake.facts is not None else lake.gold
         self._gold = {
             d: dict(zip(g.attribute, g.value))
-            for d, g in facts.groupby("doc_id")
+            for d, g in lake.facts.groupby("doc_id")
         }
         self._verbose = {a: False for a in lake.gold_attrs}
         # verbose-ness is derivable from value length; mark long values
@@ -244,17 +248,15 @@ class MockLLM:
             return " ".join(toks[len(toks) // 2:])
         return value.lower() if value.lower() != value else value.upper()
 
-    def mention_chunk(self, attribute: str, doc_text: str,
-                      chunk_tokens: int = 1000) -> str:
+    def mention_chunk(self, attribute: str, doc_text: str) -> str:
         """Keyword-search the doc for the portion mentioning the attribute
         (§3.2.2) — the context fed to extraction/synthesis prompts."""
         from repro.core.chunk import split_chunks
 
         canon = self.canonical(attribute) or attribute
-        surfaces = [s for s, c in self.aliases.items() if c == canon] + [canon]
-        chunks = split_chunks(doc_text, chunk_tokens)
+        chunks = split_chunks(doc_text)
         for ch in chunks:
-            for s in sorted(set(surfaces), key=len, reverse=True):
+            for s in self._surfaces.get(canon, [canon]):
                 if re.search(re.escape(s), ch, re.IGNORECASE):
                     return ch
         return chunks[0]
@@ -363,10 +365,9 @@ class MockLLM:
 
     def _find_label(self, canon: str, chunk: str) -> tuple[str | None, int]:
         """Locate a surface label for ``canon`` in the chunk + its format."""
-        surfaces = [s for s, c in self.aliases.items() if c == canon] + [canon]
         # check literal casings present in the chunk (aliases are normalized;
         # scan case-insensitively then recover the literal text)
-        for surf in sorted(set(surfaces), key=len, reverse=True):
+        for surf in self._surfaces.get(canon, [canon]):
             m = re.search(re.escape(surf), chunk, re.IGNORECASE)
             if not m:
                 continue

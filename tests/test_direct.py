@@ -29,10 +29,6 @@ class TestRunDirect:
         half = run_direct(spark, fda_lake, doc_ids=ids)
         assert 0 < half.tokens < fda_direct.tokens
 
-    def test_top_k_restricts_attributes(self, spark, fda_lake):
-        res = run_direct(spark, fda_lake, top_k=3)
-        assert res.table.attribute.nunique() <= 3
-
     def test_ranked_attrs_head_is_gold_heavy(self, fda_lake, fda_direct):
         k = len(fda_lake.gold_attrs)
         head = set(fda_direct.ranked_attrs[:k])

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import evaporate
 from repro.harness import paper, tables
 
 
@@ -25,6 +26,11 @@ def mini_cfg():
 @pytest.fixture(scope="module")
 def t3(spark, mini_cfg):
     return tables.table3(spark, mini_cfg)
+
+
+@pytest.fixture(scope="module")
+def t6(spark, mini_cfg):
+    return tables.table6(spark, mini_cfg)
 
 
 class TestTable3Harness:
@@ -52,8 +58,7 @@ class TestTable3Harness:
 
 
 class TestTable6Harness:
-    def test_shape(self, spark, mini_cfg):
-        t6 = tables.table6(spark, mini_cfg)
+    def test_shape(self, t6):
         assert len(t6) == 2
         assert {"n_attrs", "closed_f1", "closed_f1_paper"} <= set(t6.columns)
 
@@ -73,6 +78,64 @@ class TestHelpers:
 
     def test_mean_empty_is_nan(self):
         assert math.isnan(tables._mean([], "x"))
+
+
+# ``mini_cfg``'s Tables 3, 6 and 7, pinned byte for byte: they carry the
+# derived and re-rounded columns (delta_f1, reduction, whole-dollar usd).
+_PINNED_MD = {
+    "table3": [
+        "| source | direct_f1 | direct_f1_paper | direct_mtok | direct_mtok_paper | direct_usd | direct_usd_paper | code_f1 | code_f1_paper | code_mtok | code_mtok_paper | code_usd | code_usd_paper | delta_f1 | delta_f1_paper | reduction | reduction_paper |",
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|",
+        "| FDA (TXT) | 54.9 | 48.6 | 38.9 | 145.6 | 777.8 | 2900 | 75.6 | 64.9 | 0.4 | 1.9 | 8.2 | 38 | 20.7 | 16.3 | 97.0 | 77 |",
+        "| Enron Emails (TXT) | 97.5 | 90.9 | 8.0 | 21.2 | 159.6 | 425 | 86.1 | 87.1 | 0.2 | 0.6 | 3.3 | 12 | -11.4 | -3.8 | 40.0 | 35 |",
+        "| Average | 76.2 | 55.4 | 23.4 | 258.0 | 468.7 | 5157 | 80.8 | 67.5 | 0.3 | 1.9 | 5.8 | 39 | 4.6 | 12.1 | 68.5 | 110 |",
+    ],
+    "table6": [
+        "| source | n_attrs | closed_f1 | closed_f1_paper |",
+        "|---|---|---|---|",
+        "| FDA (TXT) | 16.0 | 64.4 | 56.5 |",
+        "| Enron Emails (TXT) | 15.0 | 54.1 | 53.7 |",
+    ],
+    "table7": [
+        "| source | n_attrs | n_attrs_paper | f1 | f1_paper | mtok | mtok_paper | usd | usd_paper |",
+        "|---|---|---|---|---|---|---|---|---|",
+        "| FDA (TXT) | 16.0 | 16.0 | 90.1 | 78.0 | 171.9 | 241 | 3439.0 | 4816 |",
+        "| Enron Emails (TXT) | 15.0 | 15.0 | 97.2 | 85.3 | 62.9 | 140 | 1259.0 | 2790 |",
+        "| Average | 15.5 | 21.6 | 93.7 | 79.9 | 117.4 | 289 | 2349.0 | 5785 |",
+    ],
+}
+
+
+class TestPinnedMarkdown:
+    def test_table3(self, t3):
+        assert tables.to_markdown(t3).split("\n") == _PINNED_MD["table3"]
+
+    def test_table6(self, t6):
+        assert tables.to_markdown(t6).split("\n") == _PINNED_MD["table6"]
+
+    def test_table7(self, spark, mini_cfg):
+        t7 = tables.table7(spark, mini_cfg)
+        assert tables.to_markdown(t7).split("\n") == _PINNED_MD["table7"]
+
+
+def test_table1_then_table4_finish_code_plus_order(spark, monkeypatch):
+    """Table 1 finishes its ClosedIE then its OpenIE Code+ run; Table 4
+    re-aggregates one OpenIE run as mv, ws, ws_filter, ws_abstain_filter.
+    The benchmark's ``tables-small`` reference checks its runs in this order."""
+    finish = evaporate.finish_code_plus
+    calls = []
+
+    def tap(spark_, art, aggregator="ws_abstain_filter"):
+        calls.append(("closed" if art.schema is None else "open", aggregator))
+        return finish(spark_, art, aggregator)
+
+    monkeypatch.setattr(evaporate, "finish_code_plus", tap)
+    cfg = tables.HarnessConfig(n_docs=12, sites_per_domain=1, groups=["fda"])
+    tables.table1(spark, cfg)
+    tables.table4(spark, cfg)
+    assert calls == [("closed", "ws_abstain_filter"), ("open", "ws_abstain_filter"),
+                     ("open", "mv"), ("open", "ws"), ("open", "ws_filter"),
+                     ("open", "ws_abstain_filter")]
 
 
 def _run_all(cwd: Path, *args: str) -> subprocess.CompletedProcess:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.chunk import split_chunks
 from repro.core.synthesis import Candidate, compile_candidate
+from repro.lakes import registry
 from repro.llm.mock_llm import (CHATBOT_REFUSAL, PROFILES, MockLLM,
                                 _fn_name, _roll_corruption)
 from repro.util import normalize_attr
@@ -227,6 +228,14 @@ class TestFunctionSynthesis:
             if fn(doc.text) == gold.get("title"):
                 return  # SWDE-Plus: extracted from the <title> element
         pytest.fail("title never extracted from <title> tag")
+
+
+    def test_tied_surface_forms_tried_by_name(self):
+        """'certificate' and 'mpaa rating' both have 11 characters: the
+        tie goes by name, never by set iteration order."""
+        llm = MockLLM(registry.make_lake("movie-metacritic", 12), "davinci")
+        chunk = "MPAA Rating: R\nCertificate: PG\n"
+        assert llm._find_label("mpaa rating", chunk) == ("Certificate", 7)
 
 
 class TestSchemaReasoning:
