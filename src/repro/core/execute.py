@@ -1,8 +1,12 @@
 """Per-document Spark passes over the lake, and scale-out function execution.
 
-``map_docs`` builds the one docs frame ``(doc_id, text)`` and runs a
-per-document row function over it in a ``mapInPandas`` UDF: function
-execution here, Direct OpenIE and ClosedIE in ``direct.py``. Function
+``docs_frame`` builds each lake's ``(doc_id, text)`` frame once per lake
+and live SparkContext and persists it: ``defaultParallelism`` partitions
+whatever the text's byte size, each a contiguous range of docs in lake
+order. The frame is unpersisted when its lake is garbage-collected.
+``map_docs`` runs a per-document row function over that frame (a
+``doc_ids`` selection is a filter on it) in a ``mapInPandas`` UDF:
+function execution here, Direct OpenIE and ClosedIE in ``direct.py``. Function
 execution is the cheap side of the paper's cost asymmetry: functions
 process every document *without* the LLM. Their sources ride into the UDF
 as strings and each distinct source is compiled once per partition and
@@ -12,28 +16,75 @@ driver; the output is a long votes DataFrame
 """
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable, Iterable
+from functools import reduce
 
 import pandas as pd
+from pyspark import SparkContext
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
 from repro.core.synthesis import Candidate, compile_candidate
-from repro.lakes.base import DataLake, rows_for_docs
+from repro.lakes.base import DataLake
 
+DOCS_SCHEMA = "doc_id string, text string"
 VOTES_SCHEMA = "doc_id string, attribute string, fid string, value string"
 
 RowFn = Callable[[str, str], Iterable[tuple]]  # (doc_id, text) -> output rows
+
+# lake -> (its SparkContext, its persisted docs frame). Lakes compare by
+# identity, so a lake's entry leaves with it and is never served to another.
+_FRAMES: weakref.WeakKeyDictionary[DataLake, tuple[SparkContext, DataFrame]] = \
+    weakref.WeakKeyDictionary()
+
+
+def _n_partitions(spark: SparkSession) -> int:
+    """The docs frame's partition count, whatever the text's byte size."""
+    return spark.sparkContext.defaultParallelism
+
+
+def _live(sc: SparkContext) -> bool:
+    return SparkContext._active_spark_context is sc
+
+
+def _unpersist(sc: SparkContext, frame: DataFrame) -> None:
+    """A lake's finalizer: unpersist its frame unless ``sc`` has stopped."""
+    if _live(sc):
+        frame.unpersist()
+
+
+def docs_frame(spark: SparkSession, lake: DataLake) -> DataFrame:
+    """The lake's persisted ``(doc_id, text)`` frame, built on its first
+    pass under this SparkContext. Each of ``_n_partitions`` contiguous
+    slices of the docs gives at least one partition of its own (above
+    48 MiB one ``createDataFrame`` would give one per 10,000 rows), and
+    ``coalesce`` merges neighbours only, so the frame has exactly that
+    many partitions and reads in lake order without a shuffle."""
+    sc = spark.sparkContext
+    hit = _FRAMES.get(lake)
+    if hit is not None and hit[0] is sc and _live(sc):
+        return hit[1]
+    docs, n = lake.docs[["doc_id", "text"]], _n_partitions(spark)
+    bounds = [len(docs) * i // n for i in range(n + 1)]
+    slices = [spark.createDataFrame(docs.iloc[a:b], DOCS_SCHEMA)
+              for a, b in zip(bounds, bounds[1:])]
+    frame = reduce(DataFrame.union, slices).coalesce(n).persist()
+    _FRAMES[lake] = (sc, frame)
+    # not at interpreter exit: the JVM may be gone by then
+    weakref.finalize(lake, _unpersist, sc, frame).atexit = False
+    return frame
 
 
 def map_docs(spark: SparkSession, lake: DataLake, doc_ids: list[str] | None,
              setup: Callable[[], RowFn], schema: str) -> DataFrame:
     """The lazy frame of ``setup()``'s row function over the lake's docs
     (or ``doc_ids``), with ``schema``'s columns. ``setup`` runs once per
-    partition on the executor. The docs frame has an explicit schema, so
-    an empty selection is an empty frame."""
-    docs = rows_for_docs(lake.docs, doc_ids)
-    sdf = spark.createDataFrame(docs[["doc_id", "text"]], "doc_id string, text string")
+    partition on the executor. An empty selection is an empty frame."""
+    sdf = docs_frame(spark, lake)
+    if doc_ids is not None:
+        sdf = sdf.filter(F.col("doc_id").isin(set(doc_ids)))
     columns = StructType.fromDDL(schema).fieldNames()
 
     def apply(batches):

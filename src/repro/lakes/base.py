@@ -98,9 +98,12 @@ class Variant:
     line_fmt_overrides: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class DataLake:
     """A fully materialized synthetic lake + ground truth.
+
+    Lakes compare and hash by identity: per-lake caches, such as
+    ``execute.docs_frame``'s Spark frame, are keyed on the lake object.
 
     ``gold`` holds only the curated evaluation attributes (the paper's
     annotator-agreed "important" attributes); ``facts`` additionally

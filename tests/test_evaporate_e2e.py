@@ -3,11 +3,12 @@
 Uses one shared ``prepare_code`` artifact per lake (module-scoped) so the
 suite exercises the full pipeline without repaying synthesis each test.
 """
+import copy
 from dataclasses import replace
 
 import pytest
 
-from repro.core import evaporate
+from repro.core import direct, evaporate, execute
 from repro.core.metrics import closed_text_f1, pair_f1
 from repro.llm.mock_llm import MockLLM
 
@@ -186,3 +187,26 @@ class TestPartitionInvariance:
                 assert tokens == want_tokens, n
         finally:
             spark.conf.set(key, before)
+
+    def test_code_plus_and_direct_independent_of_input_partitions(
+            self, spark, enron_lake, monkeypatch):
+        """Code+ votes, both pipelines' tables and tokens do not depend on
+        how many partitions the cached docs frame has."""
+        def run():
+            lake = copy.copy(enron_lake)  # a new lake object builds its own frame
+            art = evaporate.prepare_code(spark, lake)
+            try:
+                code_plus = evaporate.finish_code_plus(spark, art)
+            finally:
+                art.unpersist()
+            d = direct.run_direct(spark, lake)
+            n = execute.docs_frame(spark, lake).rdd.getNumPartitions()
+            return n, (art.votes_all, code_plus.table, d.table), (code_plus.tokens, d.tokens)
+
+        _, want_frames, want_tokens = run()
+        for n in (1, 7, 64):
+            monkeypatch.setattr(execute, "_n_partitions", lambda spark, n=n: n)
+            got_n, frames, tokens = run()
+            assert got_n == n
+            assert all(f.equals(w) for f, w in zip(frames, want_frames)), n
+            assert tokens == want_tokens, n

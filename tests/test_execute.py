@@ -1,14 +1,20 @@
 """Tests for scale-out function execution over Spark."""
+import copy
+import gc
 from collections import Counter
 from dataclasses import replace
 
+import pandas as pd
 import pytest
+from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 from repro.core import execute
 from repro.core.direct import run_closed_direct, run_direct
-from repro.core.evaporate import run_code
-from repro.core.execute import function_rows, run_functions
+from repro.core.evaporate import run_code, run_code_plus
+from repro.core.execute import docs_frame, function_rows, run_functions
 from repro.core.synthesis import compile_candidate, generate_candidates
+from repro.lakes.base import DataLake
 
 
 @pytest.fixture(scope="module")
@@ -137,3 +143,70 @@ def test_empty_doc_selection(spark, fda_lake, fda_cands, lake_pass, columns, exp
     table = getattr(res, "table", res)
     assert table.empty and list(table.columns) == columns
     assert {k: getattr(res, k) for k in expect} == expect
+
+
+def _synthetic_lake(n_docs: int, text: str) -> DataLake:
+    empty = pd.DataFrame(columns=["doc_id", "attribute", "value"])
+    docs = pd.DataFrame({"doc_id": [f"big-{i:04d}" for i in range(n_docs)],
+                         "variant": "v", "text": text})
+    return DataLake(name="big", topic="t", fmt="txt", docs=docs, gold=empty,
+                    gold_attrs=[], aliases={}, difficulty=0.0, fn_fragility=0.0)
+
+
+class TestDocsFrame:
+    """Each lake's docs frame is built once, persisted, lake-ordered and
+    unpersisted with its lake."""
+
+    def test_over_48_mib_keeps_default_parallelism(self, spark):
+        # 200 docs sharing one 300 KB string: 60 MB of text, above the
+        # 48 MiB where createDataFrame(pandas) used to give one partition
+        lake = _synthetic_lake(200, "x" * 300_000)
+        assert lake.docs.text.str.len().sum() > 48 * 2**20
+        frame = docs_frame(spark, lake)
+        parallelism = spark.sparkContext.defaultParallelism
+        assert frame.rdd.getNumPartitions() == parallelism
+        parts = frame.select("doc_id", F.spark_partition_id().alias("part")).toPandas()
+        assert list(parts.doc_id) == list(lake.docs.doc_id)
+        assert parts.part.is_monotonic_increasing
+        assert parts.part.nunique() == parallelism
+
+    def test_built_once_per_lake(self, spark, fda_lake, monkeypatch):
+        lake = copy.copy(fda_lake)  # a lake object no earlier test has passed over
+        create, built = SparkSession.createDataFrame, []
+
+        def spy(self, data, schema=None, *args, **kwargs):
+            if schema == execute.DOCS_SCHEMA:
+                built.append(lake)
+            return create(self, data, schema, *args, **kwargs)
+
+        monkeypatch.setattr(SparkSession, "createDataFrame", spy)
+        first = run_direct(spark, lake)
+        second = run_direct(spark, lake)
+        run_code_plus(spark, lake)
+        # one build: one createDataFrame per slice
+        assert len(built) == spark.sparkContext.defaultParallelism
+        assert first.table.equals(second.table) and first.tokens == second.tokens
+
+    def test_each_lake_object_has_its_own_frame(self, spark, fda_lake):
+        a, b = copy.copy(fda_lake), copy.copy(fda_lake)
+        assert docs_frame(spark, a) is docs_frame(spark, a)
+        assert docs_frame(spark, a) is not docs_frame(spark, b)
+
+    def test_unpersisted_with_its_lake(self, spark, fda_lake):
+        lake = copy.copy(fda_lake)
+        frame = docs_frame(spark, lake)
+        assert frame.storageLevel.useMemory
+        del lake
+        gc.collect()
+        assert not (frame.storageLevel.useMemory or frame.storageLevel.useDisk)
+        for _ in range(8):  # new lakes, some at the freed lake's id
+            assert docs_frame(spark, copy.copy(fda_lake)) is not frame
+
+    def test_no_unpersist_after_its_context_stopped(self, spark, fda_lake, monkeypatch):
+        lake = copy.copy(fda_lake)
+        frame = docs_frame(spark, lake)
+        monkeypatch.setattr(execute, "_live", lambda sc: False)  # as after spark.stop()
+        del lake
+        gc.collect()
+        assert frame.storageLevel.useMemory
+        frame.unpersist()
