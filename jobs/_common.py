@@ -10,8 +10,8 @@ def build_session(app: str) -> SparkSession:
 
     Automatic broadcast joins are disabled, so no size estimate picks a
     join strategy. These pipelines are join-light: the one join, votes x
-    weights in ``aggregate_votes_spark``, broadcasts its small weight
-    table by an explicit hint.
+    weights in Code's ``aggregate_votes_spark``, broadcasts its small
+    weight table by an explicit hint.
     """
     return (
         SparkSession.builder.appName(app)

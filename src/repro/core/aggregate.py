@@ -12,8 +12,11 @@ Steps, mapped to the paper's pseudocode:
      keep the TOP_M best scorers.
   6. Collect votes — full-lake function execution (``execute.py``).
   7. Aggregation — per-document top-B vote bucketing, then the WS label
-     model's accuracy-weighted vote (or plain MV for the baseline),
-     executed as Spark groupBy/window over the votes DataFrame.
+     model's accuracy-weighted vote (or plain MV for the baseline).
+     Code+ votes on the driver (``aggregate_votes``), over the votes it
+     already collected for scoring and the WS fit; Code, which collects
+     no votes, votes in Spark (``aggregate_votes_spark``). Both apply
+     one rule and give the same cells.
 """
 from __future__ import annotations
 
@@ -88,28 +91,34 @@ def eval_labels(
 Votes = dict[str, dict[str, str]]  # doc -> fid -> value, one attribute's votes
 
 
-def group_votes(
-    votes: pd.DataFrame, attrs: list[str], doc_ids: list[str],
-    candidates: list[Candidate],
-) -> Iterator[tuple[str, Votes]]:
-    """``(attribute, votes)`` for each of ``attrs``, in order, from one
-    sort of the frame; each attribute's dicts are built only when it is
-    reached, so the driver holds one attribute's copy. Docs follow
-    ``doc_ids`` and each doc's votes follow ``candidates``, however the
-    frame's rows are ordered: the WS fit sums a doc's votes in dict
-    order, and the validation sample is the first kept values."""
-    attr_pos = {a: k for k, a in enumerate(attrs)}
+def sort_votes(
+    votes: pd.DataFrame, doc_ids: list[str], candidates: list[Candidate],
+) -> pd.DataFrame:
+    """``votes``' rows in (doc, candidate) order, docs following
+    ``doc_ids`` and each doc's votes ``candidates``, however the frame's
+    rows are ordered. Every later step reads this one sort: the WS fit
+    sums a doc's votes in this order, the validation sample is the
+    first kept values, and the vote sums a cell's weights in it.
+    ``run_functions`` collects in this order, so a collected frame is
+    returned as it is, without a copy."""
     doc_pos = {d: i for i, d in enumerate(doc_ids)}
     fid_pos = {c.fid: j for j, c in enumerate(candidates)}
-    a_pos = votes.attribute.map(attr_pos).to_numpy()
-    key = (a_pos * len(doc_pos) + votes.doc_id.map(doc_pos)) * len(fid_pos) \
-        + votes.fid.map(fid_pos)
-    order = np.argsort(key.to_numpy(), kind="stable")
-    bounds = np.searchsorted(a_pos[order], np.arange(len(attrs) + 1))
+    key = (votes.doc_id.map(doc_pos) * len(fid_pos) + votes.fid.map(fid_pos)).to_numpy()
+    if (key[1:] >= key[:-1]).all():
+        return votes
+    return votes.take(np.argsort(key, kind="stable"))
+
+
+def group_votes(votes: pd.DataFrame, attrs: list[str]) -> Iterator[tuple[str, Votes]]:
+    """``(attribute, votes)`` for each of ``attrs``, in order, from a
+    ``sort_votes`` frame, whose order each doc's dict keeps. Each
+    attribute's dicts are built only when it is reached, so the driver
+    holds one attribute's copy."""
+    a_pos = votes.attribute.map({a: k for k, a in enumerate(attrs)}).to_numpy()
     doc, fid, value = (votes[c].to_numpy() for c in ("doc_id", "fid", "value"))
     for k, a in enumerate(attrs):
         out: Votes = {}
-        for i in order[bounds[k]:bounds[k + 1]]:
+        for i in np.flatnonzero(a_pos == k):
             out.setdefault(doc[i], {})[fid[i]] = value[i]
         yield a, out
 
@@ -177,12 +186,70 @@ def _top_b(votes_for_doc: dict[str, str], b: int) -> dict[str, str]:
     return {f: v for f, v in votes_for_doc.items() if v in keep}
 
 
+def _run_rank(keys: np.ndarray) -> np.ndarray:
+    """Each element's position in its run of equal neighbours in ``keys``."""
+    i = np.arange(len(keys))
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return i - np.maximum.accumulate(np.where(new, i, 0))
+
+
+def aggregate_votes(votes: pd.DataFrame, plans: dict[str, AttrPlan]) -> pd.DataFrame:
+    """Step 7 on the driver: ``aggregate_votes_spark``'s vote over a
+    pandas votes frame.
+
+    Keeps the votes of alive plans' kept functions, less ``""`` votes
+    where the plan drops empties. Per (doc, attribute, value) it counts
+    the votes (``n``) and sums their weights (``score``), keeps each
+    cell's top-B values by (-n, value) and picks the first by
+    (-score, value); a winning ``""`` is no value. A cell's weights sum
+    one at a time in the frame's row order, as Spark's ``sum`` adds a
+    doc's rows, so on a ``sort_votes`` frame the scores are Spark's to
+    the bit; Python ``str`` order is Spark's UTF-8 byte order, so ties
+    break alike. Returns ``(doc_id, attribute, value)``, attributes in
+    ``plans`` order and docs sorted, with empty and no-vote cells absent.
+    """
+    alive = [p for p in plans.values() if p.alive]
+    attr = pd.Index([p.attribute for p in alive]).get_indexer(votes.attribute)
+    doc, fid, value = (votes[c].to_numpy() for c in ("doc_id", "fid", "value"))
+    return pd.concat(
+        [pd.DataFrame(columns=["doc_id", "attribute", "value"])]
+        + [_vote_attribute(p, *(x[attr == j] for x in (doc, fid, value)))
+           for j, p in enumerate(alive)],
+        ignore_index=True,
+    )
+
+
+def _vote_attribute(plan: AttrPlan, doc: np.ndarray, fid: np.ndarray,
+                    value: np.ndarray) -> pd.DataFrame:
+    """``aggregate_votes`` for one attribute's votes, one cell per doc."""
+    k = pd.Index(plan.kept).get_indexer(fid)
+    keep = (k >= 0) & ~(plan.drop_empty & (value == ""))
+    weight = np.array([float(plan.weights.get(f, 1.0)) for f in plan.kept])
+    d, docs = pd.factorize(doc[keep], sort=True)
+    v, vals = pd.factorize(value[keep], sort=True)
+    keys, g = np.unique(d * len(vals) + v, return_inverse=True)
+    n = np.bincount(g, minlength=len(keys))
+    score = np.bincount(g, weights=weight[k[keep]], minlength=len(keys))
+    g_doc, g_val = np.divmod(keys, max(len(vals), 1))
+
+    # per-doc top-B buckets by (-n, value), then the winner by (-score, value)
+    o = np.lexsort((g_val, -n, g_doc))
+    o = o[_run_rank(g_doc[o]) < B]
+    o = o[np.lexsort((g_val[o], -score[o], g_doc[o]))]
+    win = o[_run_rank(g_doc[o]) == 0]
+    win = win[vals[g_val[win]] != ""]
+    return pd.DataFrame({"doc_id": docs[g_doc[win]], "attribute": plan.attribute,
+                         "value": vals[g_val[win]]})
+
+
 def aggregate_votes_spark(
     spark: SparkSession,
     votes: DataFrame,
     plans: dict[str, AttrPlan],
 ) -> DataFrame:
-    """Step 7 at scale: weighted vote per (doc, attribute) in Spark.
+    """Step 7 in Spark: weighted vote per (doc, attribute), for votes
+    that were never collected (EVAPORATE-CODE).
 
     Joins the votes DataFrame with the broadcast per-function weight
     table, applies the abstention rule and per-document top-B bucketing
@@ -223,6 +290,6 @@ def aggregate_votes_spark(
 
 
 __all__ = [
-    "AggConfig", "AGGREGATORS", "AttrPlan", "Votes", "eval_labels", "group_votes",
-    "score_and_plan", "aggregate_votes_spark",
+    "AggConfig", "AGGREGATORS", "AttrPlan", "Votes", "eval_labels", "sort_votes",
+    "group_votes", "score_and_plan", "aggregate_votes", "aggregate_votes_spark",
 ]

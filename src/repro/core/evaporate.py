@@ -14,14 +14,13 @@ from itertools import islice
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import aggregate as agg
 from repro.core.schema import (N_SCHEMA_SAMPLE, SchemaResult, sample_doc_ids,
                                synthesize_schema)
 from repro.core.synthesis import Candidate, generate_candidates
 from repro.core.execute import run_functions
-from repro.lakes.base import DataLake
+from repro.lakes.base import DataLake, rows_for_docs
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 
@@ -45,22 +44,19 @@ class RunResult:
 
 @dataclass
 class CodeArtifacts:
-    """Everything the code pipelines share before aggregation."""
+    """Everything the code pipelines share before aggregation: driver
+    data only, no Spark state."""
 
     lake: DataLake
     llm: MockLLM
     attrs: list[str]
     candidates: list[Candidate]
-    votes: object  # persisted Spark DataFrame (doc_id, attribute, fid, value)
-    votes_all: pd.DataFrame
+    votes_all: pd.DataFrame  # (doc_id, attribute, fid, value), every vote
     labels: dict[str, dict[str, str]]  # attr -> doc -> LLM F label
     eval_ids: list[str]
     doc_ids: list[str] | None
     ledger: TokenLedger
     schema: SchemaResult | None
-
-    def unpersist(self) -> None:
-        self.votes.unpersist()
 
 
 def _schema_attrs(
@@ -98,15 +94,14 @@ def prepare_code(
     run_ids = None
     if doc_ids is not None:
         run_ids = sorted(set(doc_ids) | set(eval_ids))
-    votes = run_functions(spark, lake, candidates, run_ids).persist()
-    votes_all = votes.toPandas()
+    votes_all = run_functions(spark, lake, candidates, run_ids).toPandas()
 
     labels = {
         a: agg.eval_labels(lake, llm, a, eval_ids, ledger) for a in attrs
     }
     return CodeArtifacts(
         lake=lake, llm=llm, attrs=attrs, candidates=candidates,
-        votes=votes, votes_all=votes_all, labels=labels,
+        votes_all=votes_all, labels=labels,
         eval_ids=eval_ids, doc_ids=doc_ids, ledger=ledger, schema=schema,
     )
 
@@ -116,13 +111,14 @@ def finish_code_plus(
     art: CodeArtifacts,
     aggregator: str = "ws_abstain_filter",
 ) -> RunResult:
-    """Algorithm-1 aggregation on prepared artifacts -> structured view."""
+    """Algorithm-1 aggregation on prepared artifacts -> structured view,
+    all on the driver: no Spark job."""
     cfg = agg.AGGREGATORS[aggregator]
     ledger = TokenLedger().merge(art.ledger)
 
+    votes = agg.sort_votes(art.votes_all, list(art.lake.docs.doc_id), art.candidates)
     plans: dict[str, agg.AttrPlan] = {}
-    for a, votes_a in agg.group_votes(art.votes_all, art.attrs, list(art.lake.docs.doc_id),
-                                      art.candidates):
+    for a, votes_a in agg.group_votes(votes, art.attrs):
         plan = agg.score_and_plan(a, art.candidates, art.labels[a], votes_a, cfg)
         if plan.alive:
             # the first 5 non-empty kept values, in (doc, candidate) order
@@ -135,10 +131,7 @@ def finish_code_plus(
                 plan.kept = []
         plans[a] = plan
 
-    votes = art.votes
-    if art.doc_ids is not None:
-        votes = votes.filter(F.col("doc_id").isin(set(art.doc_ids)))
-    table = agg.aggregate_votes_spark(spark, votes, plans).toPandas()
+    table = agg.aggregate_votes(rows_for_docs(votes, art.doc_ids), plans)
     return RunResult(
         table=table, attrs=[a for a in art.attrs if plans[a].alive],
         ledger=ledger, schema=art.schema, plans=plans,
@@ -154,11 +147,7 @@ def run_code_plus(
     doc_ids: list[str] | None = None,
 ) -> RunResult:
     """EVAPORATE-CODE+ end-to-end (§3.3)."""
-    art = prepare_code(spark, lake, model, seed, given_attrs, doc_ids)
-    try:
-        return finish_code_plus(spark, art)
-    finally:
-        art.unpersist()
+    return finish_code_plus(spark, prepare_code(spark, lake, model, seed, given_attrs, doc_ids))
 
 
 def run_code(
@@ -184,7 +173,8 @@ def run_code(
     ]
 
     votes = run_functions(spark, lake, candidates, doc_ids)
-    # the same Spark vote as Code+, with one unit-weight voter per attribute
+    # Code+'s vote rule with one unit-weight voter per attribute, in Spark:
+    # Code has no WS fit, so its votes are never collected
     plans = {
         c.attribute: agg.AttrPlan(c.attribute, e=0.0, scores={}, kept=[c.fid],
                                   weights={c.fid: 1.0}, drop_empty=True)

@@ -9,8 +9,8 @@ strings) differ per document.
 
 Fitting is EM over the collected vote matrix (driver-side: |docs| x
 the <= top-m functions Algorithm 1 keeps), one sweep over the docs per
-iteration. Inference is an accuracy-weighted log-odds vote, applied at
-scale as a Spark join/groupBy in ``aggregate.py``.
+iteration. Inference is an accuracy-weighted log-odds vote over the same
+collected votes, ``aggregate.aggregate_votes``.
 """
 from __future__ import annotations
 

@@ -216,12 +216,9 @@ def table4(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
     def measure(lake: DataLake) -> dict:
         # one set of votes, re-aggregated four ways
         art = evaporate.prepare_code(spark, lake, MODEL, cfg.seed)
-        try:
-            return {a: 100 * pair_f1(evaporate.finish_code_plus(spark, art, aggregator=a).table,
-                                     lake.gold).f1
-                    for a in aggs}
-        finally:
-            art.unpersist()
+        return {a: 100 * pair_f1(evaporate.finish_code_plus(spark, art, aggregator=a).table,
+                                 lake.gold).f1
+                for a in aggs}
 
     return _with_average(_source_rows(cfg, measure, paper.TABLE4, aggs), paper.TABLE4, aggs)
 

@@ -1,12 +1,13 @@
 """Tests for Algorithm 1: abstention inference, scoring, filtering,
-top-b bucketing and the Spark weighted-vote aggregation."""
+top-b bucketing and the weighted vote, on the driver and in Spark."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.aggregate import (AGGREGATORS, AggConfig, AttrPlan, _top_b,
-                                  aggregate_votes_spark, eval_labels,
-                                  group_votes, score_and_plan)
+                                  aggregate_votes, aggregate_votes_spark,
+                                  eval_labels, group_votes, score_and_plan,
+                                  sort_votes)
 from repro.core.synthesis import Candidate
 from repro.core.ws import B
 from repro.llm.mock_llm import MockLLM
@@ -26,8 +27,17 @@ def _plan(cands, rows, labels, cfg):
     """``score_and_plan`` over attribute "a"'s vote rows, grouped the way
     ``finish_code_plus`` groups them."""
     docs = list(dict.fromkeys(r[0] for r in rows))
-    [(_, votes)] = group_votes(_votes(rows), ["a"], docs, cands)
+    [(_, votes)] = group_votes(sort_votes(_votes(rows), docs, cands), ["a"])
     return score_and_plan("a", cands, labels, votes, cfg)
+
+
+# Step 7 both ways, each returning a pandas (doc_id, attribute, value) table
+VOTES = {
+    "spark": lambda spark, votes, plans:
+        aggregate_votes_spark(spark, spark.createDataFrame(votes), plans).toPandas(),
+    "driver": lambda spark, votes, plans: aggregate_votes(votes, plans),
+}
+each_vote = pytest.mark.parametrize("vote", list(VOTES.values()), ids=list(VOTES))
 
 
 class TestAggregators:
@@ -179,7 +189,8 @@ class TestSparkAggregation:
         out = aggregate_votes_spark(spark, votes, plans).toPandas()
         assert out.empty
 
-    def test_matches_duckdb_oracle(self, spark):
+    @each_vote
+    def test_matches_duckdb_oracle(self, spark, vote):
         """Oracle: the argmax-by-weight cell winner equals the DuckDB
         window-function equivalent."""
         rows = []
@@ -187,14 +198,13 @@ class TestSparkAggregation:
             for f, v in (("f1", "x"), ("f2", "x"), ("f3", f"y{d % 2}")):
                 rows.append((f"d{d}", "a", f, v))
         votes_pd = _votes(rows)
-        votes = spark.createDataFrame(votes_pd)
         weights = {"f1": 2.0, "f2": 1.0, "f3": 1.5}
         plans = {"a": AttrPlan("a", 1.0, {}, list(weights), weights, True)}
-        out = aggregate_votes_spark(spark, votes, plans)
+        out = vote(spark, votes_pd, plans)
         weights_pd = pd.DataFrame(
             [(f, w) for f, w in weights.items()], columns=["fid", "weight"])
         assert_equivalent(
-            out.select("doc_id", "value"),
+            out[["doc_id", "value"]],
             """WITH scored AS (
                  SELECT v.doc_id, v.value, SUM(w.weight) AS s
                  FROM votes v JOIN weights w USING (fid)
@@ -208,7 +218,8 @@ class TestSparkAggregation:
             votes=votes_pd, weights=weights_pd,
         )
 
-    def test_top_b_buckets_match_duckdb_oracle(self, spark):
+    @each_vote
+    def test_top_b_buckets_match_duckdb_oracle(self, spark, vote):
         """Cells with more than B distinct values: only each cell's B
         most-voted values (ties by value) can win, so a heavy function
         voting a rare value loses to lighter but more common ones. The
@@ -233,12 +244,12 @@ class TestSparkAggregation:
         rows.append(("d3", "a", "heavy", "zz"))
         votes_pd = _votes(rows)
         plans = {"a": AttrPlan("a", 1.0, {}, list(weights), weights, True)}
-        out = aggregate_votes_spark(spark, spark.createDataFrame(votes_pd), plans)
-        assert dict(out.select("doc_id", "value").collect()) == {
+        out = vote(spark, votes_pd, plans)
+        assert dict(zip(out.doc_id, out.value)) == {
             "d0": "x", "d1": "a0", "d2": "q", "d3": "k"}
         weights_pd = pd.DataFrame(list(weights.items()), columns=["fid", "weight"])
         assert_equivalent(
-            out.select("doc_id", "value"),
+            out[["doc_id", "value"]],
             f"""WITH counted AS (
                  SELECT v.doc_id, v.value, COUNT(*) AS n, SUM(w.weight) AS s
                  FROM votes v JOIN weights w USING (fid)
@@ -255,6 +266,24 @@ class TestSparkAggregation:
                SELECT doc_id, value FROM ranked WHERE rn = 1""",
             votes=votes_pd, weights=weights_pd,
         )
+
+    @pytest.mark.parametrize("vote", [
+        lambda spark, votes, plans: aggregate_votes_spark(
+            spark, spark.createDataFrame(votes).coalesce(1), plans).toPandas(),
+        VOTES["driver"],
+    ], ids=list(VOTES))
+    def test_weights_sum_in_row_order(self, spark, vote):
+        """A cell's weights add one at a time in row order: f1, f2, f3 sum
+        0.1 + 0.2 + 0.3 to just above heavy's 0.6, so "b" beats "a",
+        which the reverse order would tie (and "a" would win by value).
+        In Spark a doc's votes come from one partition, as
+        ``run_functions`` gives them."""
+        weights = {"f1": 0.1, "f2": 0.2, "f3": 0.3, "heavy": 0.6}
+        assert weights["f1"] + weights["f2"] + weights["f3"] > weights["heavy"] \
+            == weights["f3"] + weights["f2"] + weights["f1"]
+        rows = [("d1", "a", f, "a" if f == "heavy" else "b") for f in weights]
+        plans = {"a": AttrPlan("a", 1.0, {}, list(weights), weights, True)}
+        assert vote(spark, _votes(rows), plans).value.tolist() == ["b"]
 
     def test_one_shuffle(self, spark):
         """The weight table is broadcast into the join, and the vote's
@@ -288,6 +317,16 @@ class TestSingleFunction:
         votes = spark.createDataFrame(_votes([("d1", "a", "f1", "x")]))
         out = aggregate_votes_spark(spark, votes, self._plans({})).toPandas()
         assert out.empty
+
+
+class TestDriverVote:
+    @pytest.mark.parametrize("rows,kept", [
+        ([], ["f1"]), ([("d1", "a", "f1", "x")], []),
+    ], ids=["no_votes", "no_alive_plan"])
+    def test_empty_table_has_view_columns(self, rows, kept):
+        plans = {"a": AttrPlan("a", 1.0, {}, kept, {f: 1.0 for f in kept}, True)}
+        out = aggregate_votes(_votes(rows), plans)
+        assert out.empty and list(out.columns) == ["doc_id", "attribute", "value"]
 
 
 class TestOracle:

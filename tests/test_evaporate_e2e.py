@@ -7,7 +7,9 @@ import copy
 from dataclasses import replace
 
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core import aggregate as agg
 from repro.core import direct, evaporate, execute
 from repro.core.metrics import closed_text_f1, pair_f1
 from repro.llm.mock_llm import MockLLM
@@ -15,9 +17,7 @@ from repro.llm.mock_llm import MockLLM
 
 @pytest.fixture(scope="module")
 def fda_art(spark, fda_lake):
-    art = evaporate.prepare_code(spark, fda_lake)
-    yield art
-    art.unpersist()
+    return evaporate.prepare_code(spark, fda_lake)
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +167,62 @@ class TestVoteRowOrderInvariance:
         assert got.table.sort_values(key).reset_index(drop=True).equals(
             want.table.sort_values(key).reset_index(drop=True))
 
+    def test_vote_sums_in_doc_candidate_order(self, spark, fda_art, monkeypatch):
+        """A cell's weights add in the order the vote reads its rows, so
+        the vote reads (doc, candidate) order, as Spark sums, whatever
+        order the votes were collected in."""
+        seen, vote = [], agg.aggregate_votes
+        monkeypatch.setattr(agg, "aggregate_votes",
+                            lambda votes, plans: seen.append(votes) or vote(votes, plans))
+        art = replace(fda_art, votes_all=fda_art.votes_all.iloc[::-1].reset_index(drop=True))
+        evaporate.finish_code_plus(spark, art)
+        want = fda_art.votes_all  # as run_functions collects: lake docs, then candidates
+        assert list(zip(seen[0].doc_id, seen[0].fid)) == list(zip(want.doc_id, want.fid))
+
+
+class TestDriverVoteEqualsSparkVote:
+    """Code+ votes on the driver over the collected votes; Code votes in
+    Spark. Given the same plans, the two give the same table."""
+
+    @pytest.fixture(scope="class", params=["fda_lake", "enron_lake"])
+    def lake(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["all_docs", "doc_ids"])
+    def art(self, spark, lake, request):
+        doc_ids = sorted(lake.docs.doc_id)[::3] if request.param else None
+        return evaporate.prepare_code(spark, lake, doc_ids=doc_ids)
+
+    @pytest.mark.parametrize("aggregator", list(agg.AGGREGATORS))
+    def test_table_equals_spark_vote(self, spark, art, aggregator):
+        res = evaporate.finish_code_plus(spark, art, aggregator)
+        votes = spark.createDataFrame(art.votes_all)
+        if art.doc_ids is not None:
+            votes = votes.filter(F.col("doc_id").isin(set(art.doc_ids)))
+        want = agg.aggregate_votes_spark(spark, votes, res.plans).toPandas()
+        key = ["doc_id", "attribute"]
+        assert len(res.table) > 0
+        assert res.table.sort_values(key).reset_index(drop=True).equals(
+            want.sort_values(key).reset_index(drop=True))
+
+
+class TestNoSparkJobs:
+    def test_finish_code_plus_starts_no_spark_job(self, spark, fda_art):
+        """Code+'s aggregation reads only the driver's artifacts."""
+        sc = spark.sparkContext
+
+        def jobs(group, action):
+            sc.setJobGroup(group, group)
+            try:
+                action()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            return sc.statusTracker().getJobIdsForGroup(group)
+
+        # the counter sees a job when there is one
+        assert len(jobs("finish-code-plus-control", lambda: spark.range(3).collect())) == 1
+        assert jobs("finish-code-plus", lambda: evaporate.finish_code_plus(spark, fda_art)) == []
+
 
 class TestPartitionInvariance:
     def test_code_plus_independent_of_shuffle_partitions(self, spark, enron_lake):
@@ -195,10 +251,7 @@ class TestPartitionInvariance:
         def run():
             lake = copy.copy(enron_lake)  # a new lake object builds its own frame
             art = evaporate.prepare_code(spark, lake)
-            try:
-                code_plus = evaporate.finish_code_plus(spark, art)
-            finally:
-                art.unpersist()
+            code_plus = evaporate.finish_code_plus(spark, art)
             d = direct.run_direct(spark, lake)
             n = execute.docs_frame(spark, lake).rdd.getNumPartitions()
             return n, (art.votes_all, code_plus.table, d.table), (code_plus.tokens, d.tokens)

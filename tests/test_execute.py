@@ -135,7 +135,8 @@ VIEW = ["doc_id", "attribute", "value"]
     (lambda spark, lake, cands: run_functions(spark, lake, cands, doc_ids=[]).toPandas(),
      ["doc_id", "attribute", "fid", "value"], {}),
     (lambda spark, lake, cands: run_code(spark, lake, doc_ids=[]), VIEW, {}),
-], ids=["run_direct", "run_closed_direct", "run_functions", "run_code"])
+    (lambda spark, lake, cands: run_code_plus(spark, lake, doc_ids=[]), VIEW, {}),
+], ids=["run_direct", "run_closed_direct", "run_functions", "run_code", "run_code_plus"])
 def test_empty_doc_selection(spark, fda_lake, fda_cands, lake_pass, columns, expect):
     """Every lake pass over an empty doc selection gives an empty table
     with its usual columns; the Direct runs spend no tokens."""
