@@ -4,6 +4,8 @@
 claim: synthesized functions process documents in fractions of a
 millisecond (they cite 0.00025s per function per document on 2 CPUs).
 """
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.execute import run_functions
@@ -56,13 +58,12 @@ def test_bench_function_execution_spark(benchmark, spark, fda_lake, fda_candidat
 @pytest.mark.benchmark(group="micro")
 def test_bench_ws_fit(benchmark):
     from repro.util import hash_uniform
-    votes = {
-        f"d{i}": {
-            f"f{j}": (f"v{i}" if hash_uniform("b", i, j) < 0.7 else f"w{j}")
-            for j in range(10)
-        }
-        for i in range(500)
-    }
+    values = [
+        f"v{i}" if hash_uniform("b", i, j) < 0.7 else f"w{j}"
+        for i in range(500) for j in range(10)
+    ]
+    codes, _ = pd.factorize(pd.Series(values), sort=True)
+    votes = codes.astype(np.int32).reshape(500, 10)
     model = benchmark(fit_label_model, votes, [f"f{j}" for j in range(10)])
     assert len(model.accuracies) == 10
 

@@ -6,14 +6,17 @@ Run from the root of a checkout::
     python benchmarks/bench_scale.py --label after
     python benchmarks/bench_scale.py --label before --out ../other/BENCH_scale.json
 
-Each (setting, docs, pipeline) runs in a fresh Python process with its own
-local Spark session: it builds the lake, then runs the pipeline twice. The
-first, cold run pays one-time costs (Python workers, any per-lake Spark
-state); the second, warm run is the steady state. A run records wall
-seconds, LLM tokens and output rows; the process records the lake build
-time and its peak driver RSS (Python only; the JVM is a separate process).
-The results go under ``--label`` in the output file, next to the labels
-already there, so one file holds a before and an after.
+Each (setting, docs, pipeline) runs ``RUNS`` times, each in a fresh Python
+process with its own local Spark session: it builds the lake, then runs
+the pipeline twice. The first, cold run pays one-time costs (Python
+workers, any per-lake Spark state); the second, warm run is the steady
+state. A run records wall seconds, LLM tokens and output rows; the process
+records the lake build time and its peak driver RSS (Python only; the JVM
+is a separate process). A point keeps every process's record and the
+medians of ``cold_s``, ``warm_s`` and ``peak_rss_mb``; its tokens and rows
+must be the same in every run. The results go under ``--label`` in the
+output file, next to the labels already there, so one file holds a before
+and an after.
 
 FDA's text crosses 48 MiB between 3000 and 6000 docs (30.9 MB and 61.9 MB);
 Enron stays at 7.4 MB at 6000 docs and is the control.
@@ -25,6 +28,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -35,6 +39,7 @@ SETTINGS = ("fda", "enron")
 SIZES = (600, 3000, 6000)
 PIPELINES = ("code_plus", "direct")
 MODEL, SEED = "davinci", 0
+RUNS = 3  # fresh processes per point; one cannot resolve changes under ~30%
 DRIVER_MEM = "3g"
 
 
@@ -71,6 +76,20 @@ def one(setting: str, n_docs: int, pipeline: str) -> dict:
     return out
 
 
+def point(runs: list[dict]) -> dict:
+    """One (setting, docs, pipeline)'s runs and their medians."""
+    out = {k: runs[0][k] for k in ("setting", "n_docs", "pipeline", "text_mb")}
+    for k in ("tokens", "rows"):
+        seen = {r[f"{run}_{k}"] for r in runs for run in ("cold", "warm")}
+        if len(seen) != 1:
+            raise RuntimeError(f"{out}: {k} differ between runs: {sorted(seen)}")
+        out[k] = seen.pop()
+    for k in ("cold_s", "warm_s", "peak_rss_mb"):
+        out[k] = statistics.median(r[k] for r in runs)
+    out["runs"] = runs
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="key of this set of runs, e.g. before/after")
@@ -83,22 +102,24 @@ def main() -> int:
         print(json.dumps(one(setting, int(n), pipeline)))
         return 0
 
-    runs = []
+    points = []
     for setting in SETTINGS:
         for n in SIZES:
             for pipeline in PIPELINES:
                 cmd = [sys.executable, __file__, "--label", args.label,
                        "--one", setting, str(n), pipeline]
-                proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True)
-                runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-                print(json.dumps(runs[-1]), flush=True)
+                runs = [json.loads(subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
+                                                  check=True).stdout.strip().splitlines()[-1])
+                        for _ in range(RUNS)]
+                points.append(point(runs))
+                print(json.dumps(points[-1]), flush=True)
 
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc["hardware"] = {"cpus": os.cpu_count(), "machine": platform.machine(),
                        "master": os.environ.get("SPARK_MASTER", "local[*]"),
                        "driver_memory": os.environ.get("SPARK_DRIVER_MEM", DRIVER_MEM)}
-    doc[args.label] = {"model": MODEL, "seed": SEED, "runs": runs}
+    doc[args.label] = {"model": MODEL, "seed": SEED, "points": points}
     out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

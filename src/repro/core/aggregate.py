@@ -13,15 +13,14 @@ Steps, mapped to the paper's pseudocode:
   6. Collect votes — full-lake function execution (``execute.py``).
   7. Aggregation — per-document top-B vote bucketing, then the WS label
      model's accuracy-weighted vote (or plain MV for the baseline).
-     Code+ votes on the driver (``aggregate_votes``), over the votes it
-     already collected for scoring and the WS fit; Code, which collects
-     no votes, votes in Spark (``aggregate_votes_spark``). Both apply
-     one rule and give the same cells.
+     Code+ reads one integer-coded ``VoteMatrix`` of its collected votes
+     for scoring, the WS fit and its driver vote (``aggregate_votes``),
+     through ``ws``'s one vote rule; Code, which collects no votes, votes
+     in Spark (``aggregate_votes_spark``). Both give the same cells.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -31,7 +30,7 @@ from pyspark.sql import functions as F
 from repro.core.direct import closed_doc
 from repro.core.metrics import text_f1_strings
 from repro.core.synthesis import Candidate
-from repro.core.ws import B, fit_label_model
+from repro.core.ws import B, fit_label_model, tally, top_b, winner
 from repro.lakes.base import DataLake
 from repro.llm.mock_llm import CHATBOT_REFUSAL, MockLLM
 from repro.llm.tokens import TokenLedger
@@ -88,50 +87,57 @@ def eval_labels(
     return out
 
 
-Votes = dict[str, dict[str, str]]  # doc -> fid -> value, one attribute's votes
+@dataclass(frozen=True)
+class VoteMatrix:
+    """Every vote of a run as one (lake docs x candidates) ``int32`` matrix
+    of value codes, ``-1`` where a doc was not run. Rows follow the lake
+    and columns the candidates, whatever order the votes were collected
+    in. The codes come from one sorted factorize, so a smaller code is
+    the first string in Python ``str`` order, which is Spark's UTF-8 byte
+    order, and ``""``, when present, is code 0."""
 
+    doc_ids: pd.Index
+    fids: pd.Index
+    codes: np.ndarray
+    values: np.ndarray  # code -> value, and a last "" that code -1 reads
 
-def sort_votes(
-    votes: pd.DataFrame, doc_ids: list[str], candidates: list[Candidate],
-) -> pd.DataFrame:
-    """``votes``' rows in (doc, candidate) order, docs following
-    ``doc_ids`` and each doc's votes ``candidates``, however the frame's
-    rows are ordered. Every later step reads this one sort: the WS fit
-    sums a doc's votes in this order, the validation sample is the
-    first kept values, and the vote sums a cell's weights in it.
-    ``run_functions`` collects in this order, so a collected frame is
-    returned as it is, without a copy."""
-    doc_pos = {d: i for i, d in enumerate(doc_ids)}
-    fid_pos = {c.fid: j for j, c in enumerate(candidates)}
-    key = (votes.doc_id.map(doc_pos) * len(fid_pos) + votes.fid.map(fid_pos)).to_numpy()
-    if (key[1:] >= key[:-1]).all():
-        return votes
-    return votes.take(np.argsort(key, kind="stable"))
+    @classmethod
+    def build(cls, votes: pd.DataFrame, doc_ids: list[str], fids: list[str]) -> VoteMatrix:
+        """The matrix of a ``(doc_id, attribute, fid, value)`` frame."""
+        value, values = pd.factorize(votes.value, sort=True)
+        rows, cols = pd.Index(doc_ids), pd.Index(fids)
+        codes = np.full((len(rows), len(cols)), -1, dtype=np.int32)
+        codes[rows.get_indexer(votes.doc_id), cols.get_indexer(votes.fid)] = value
+        return cls(rows, cols, codes, np.append(np.asarray(values, dtype=object), ""))
 
+    @property
+    def first_value(self) -> int:
+        """The smallest code of a non-empty value."""
+        return int(self.values[0] == "" and len(self.values) > 1)
 
-def group_votes(votes: pd.DataFrame, attrs: list[str]) -> Iterator[tuple[str, Votes]]:
-    """``(attribute, votes)`` for each of ``attrs``, in order, from a
-    ``sort_votes`` frame, whose order each doc's dict keeps. Each
-    attribute's dicts are built only when it is reached, so the driver
-    holds one attribute's copy."""
-    a_pos = votes.attribute.map({a: k for k, a in enumerate(attrs)}).to_numpy()
-    doc, fid, value = (votes[c].to_numpy() for c in ("doc_id", "fid", "value"))
-    for k, a in enumerate(attrs):
-        out: Votes = {}
-        for i in np.flatnonzero(a_pos == k):
-            out.setdefault(doc[i], {})[fid[i]] = value[i]
-        yield a, out
+    def select(self, doc_ids: list[str] | None) -> VoteMatrix:
+        """The rows of ``doc_ids`` (all rows for None)."""
+        if doc_ids is None:
+            return self
+        rows = self.doc_ids.isin(set(doc_ids))
+        return VoteMatrix(self.doc_ids[rows], self.fids, self.codes[rows], self.values)
+
+    def sample(self, fids: list[str], n: int) -> list[str]:
+        """The first ``n`` non-empty values of ``fids``, row by row, each
+        row's in candidate order."""
+        flat = self.codes[:, np.sort(self.fids.get_indexer(fids))].ravel()
+        return list(self.values[flat[flat >= self.first_value][:n]])
 
 
 def score_and_plan(
     attr: str,
     candidates: list[Candidate],
     labels: dict[str, str],
-    votes: Votes,
+    votes: VoteMatrix,
     cfg: AggConfig,
 ) -> AttrPlan:
-    """Steps 3-5 + label-model fitting for one attribute, from its
-    ``group_votes`` entry (which covers D_eval)."""
+    """Steps 3-5 + label-model fitting for one attribute, from the run's
+    votes (which cover D_eval)."""
     e = (
         sum(1 for v in labels.values() if v) / len(labels) if labels else 0.0
     )
@@ -143,14 +149,12 @@ def score_and_plan(
     # fired-only precision scoring; low-e scores over all of D_eval so
     # empty-on-absent counts as correct and fire-on-absent is penalized.
     fired_only = (not cfg.use_abstain) or e > TAU
+    rows = votes.doc_ids.get_indexer(list(labels))
     scores: dict[str, float] = {}
     for fid in fids:
-        ms: list[float] = []
-        for d, lab in labels.items():
-            vote = votes.get(d, {}).get(fid, "")
-            if fired_only and not vote:
-                continue
-            ms.append(text_f1_strings(lab, vote))
+        col = votes.values[votes.codes[rows, votes.fids.get_loc(fid)]]
+        ms = [text_f1_strings(lab, vote) for lab, vote in zip(labels.values(), col)
+              if vote or not fired_only]
         scores[fid] = sum(ms) / len(ms) if ms else 0.0
 
     if cfg.use_filter:
@@ -164,83 +168,51 @@ def score_and_plan(
     # *no-value predictions* in the low-e regime, letting the ensemble
     # actively suppress hallucinated values for absent attributes.
     drop_empty = e > TAU if cfg.use_abstain else True
-    weights = {f: 1.0 for f in kept}
+    plan = AttrPlan(attr, e, scores, kept, {f: 1.0 for f in kept}, drop_empty)
     if cfg.method == "ws" and kept:
-        keep = set(kept)
-        fit_votes: Votes = {}
-        for d, v in votes.items():
-            mine = {f: x for f, x in v.items() if f in keep and (x or not drop_empty)}
-            if mine:  # a doc where every kept function abstains is left out
-                fit_votes[d] = _top_b(mine, B)
-        model = fit_label_model(fit_votes, kept)
-        weights = {f: model.weight(f) for f in kept}
-    return AttrPlan(attr, e, scores, kept, weights, drop_empty)
+        codes, cols = _kept_votes(votes, plan)
+        # a doc where every kept function abstains is left out
+        model = fit_label_model(codes[(codes >= 0).any(axis=1)], cols)
+        plan.weights = {f: model.weight(f) for f in kept}
+    return plan
 
 
-def _top_b(votes_for_doc: dict[str, str], b: int) -> dict[str, str]:
-    """Keep votes in the doc's top-b value buckets; others abstain."""
-    counts: dict[str, int] = {}
-    for v in votes_for_doc.values():
-        counts[v] = counts.get(v, 0) + 1
-    keep = set(sorted(counts, key=lambda v: (-counts[v], v))[:b])
-    return {f: v for f, v in votes_for_doc.items() if v in keep}
+def _kept_votes(votes: VoteMatrix, plan: AttrPlan) -> tuple[np.ndarray, list[str]]:
+    """The plan's kept functions' votes, columns in candidate order, less
+    ``""`` votes where it drops empties and the votes outside each doc's
+    top-B values; and those columns' fids."""
+    cols = np.sort(votes.fids.get_indexer(plan.kept))
+    codes = votes.codes[:, cols]
+    if plan.drop_empty:
+        codes = np.where(codes >= votes.first_value, codes, -1)
+    return top_b(codes, B), list(votes.fids[cols])
 
 
-def _run_rank(keys: np.ndarray) -> np.ndarray:
-    """Each element's position in its run of equal neighbours in ``keys``."""
-    i = np.arange(len(keys))
-    new = np.ones(len(keys), dtype=bool)
-    new[1:] = keys[1:] != keys[:-1]
-    return i - np.maximum.accumulate(np.where(new, i, 0))
-
-
-def aggregate_votes(votes: pd.DataFrame, plans: dict[str, AttrPlan]) -> pd.DataFrame:
+def aggregate_votes(votes: VoteMatrix, plans: dict[str, AttrPlan]) -> pd.DataFrame:
     """Step 7 on the driver: ``aggregate_votes_spark``'s vote over a
-    pandas votes frame.
+    vote matrix.
 
-    Keeps the votes of alive plans' kept functions, less ``""`` votes
-    where the plan drops empties. Per (doc, attribute, value) it counts
-    the votes (``n``) and sums their weights (``score``), keeps each
-    cell's top-B values by (-n, value) and picks the first by
-    (-score, value); a winning ``""`` is no value. A cell's weights sum
-    one at a time in the frame's row order, as Spark's ``sum`` adds a
-    doc's rows, so on a ``sort_votes`` frame the scores are Spark's to
-    the bit; Python ``str`` order is Spark's UTF-8 byte order, so ties
-    break alike. Returns ``(doc_id, attribute, value)``, attributes in
-    ``plans`` order and docs sorted, with empty and no-vote cells absent.
+    Per alive plan, each doc's kept top-B votes (``_kept_votes``, the
+    votes the WS fit read) elect the value with the largest weight sum,
+    ties to the first value; a winning ``""`` is no value. A weight sum
+    adds in candidate order, as Spark's ``sum`` adds a doc's rows in
+    ``run_functions``' order, so the scores are Spark's to the bit; code
+    order is Spark's string order, so ties break alike. Returns
+    ``(doc_id, attribute, value)``, attributes in ``plans`` order and
+    docs sorted, with empty and no-vote cells absent.
     """
-    alive = [p for p in plans.values() if p.alive]
-    attr = pd.Index([p.attribute for p in alive]).get_indexer(votes.attribute)
-    doc, fid, value = (votes[c].to_numpy() for c in ("doc_id", "fid", "value"))
-    return pd.concat(
-        [pd.DataFrame(columns=["doc_id", "attribute", "value"])]
-        + [_vote_attribute(p, *(x[attr == j] for x in (doc, fid, value)))
-           for j, p in enumerate(alive)],
-        ignore_index=True,
-    )
-
-
-def _vote_attribute(plan: AttrPlan, doc: np.ndarray, fid: np.ndarray,
-                    value: np.ndarray) -> pd.DataFrame:
-    """``aggregate_votes`` for one attribute's votes, one cell per doc."""
-    k = pd.Index(plan.kept).get_indexer(fid)
-    keep = (k >= 0) & ~(plan.drop_empty & (value == ""))
-    weight = np.array([float(plan.weights.get(f, 1.0)) for f in plan.kept])
-    d, docs = pd.factorize(doc[keep], sort=True)
-    v, vals = pd.factorize(value[keep], sort=True)
-    keys, g = np.unique(d * len(vals) + v, return_inverse=True)
-    n = np.bincount(g, minlength=len(keys))
-    score = np.bincount(g, weights=weight[k[keep]], minlength=len(keys))
-    g_doc, g_val = np.divmod(keys, max(len(vals), 1))
-
-    # per-doc top-B buckets by (-n, value), then the winner by (-score, value)
-    o = np.lexsort((g_val, -n, g_doc))
-    o = o[_run_rank(g_doc[o]) < B]
-    o = o[np.lexsort((g_val[o], -score[o], g_doc[o]))]
-    win = o[_run_rank(g_doc[o]) == 0]
-    win = win[vals[g_val[win]] != ""]
-    return pd.DataFrame({"doc_id": docs[g_doc[win]], "attribute": plan.attribute,
-                         "value": vals[g_val[win]]})
+    order = votes.doc_ids.argsort()
+    docs = votes.doc_ids[order]
+    cells = [pd.DataFrame(columns=["doc_id", "attribute", "value"])]
+    for p in plans.values():
+        if p.alive:
+            codes, cols = _kept_votes(votes, p)
+            _, score = tally(codes, np.array([float(p.weights.get(f, 1.0)) for f in cols]))
+            win = winner(codes, score)[order]
+            ok = win >= votes.first_value
+            cells.append(pd.DataFrame({"doc_id": docs[ok], "attribute": p.attribute,
+                                       "value": votes.values[win[ok]]}))
+    return pd.concat(cells, ignore_index=True)
 
 
 def aggregate_votes_spark(
@@ -290,6 +262,6 @@ def aggregate_votes_spark(
 
 
 __all__ = [
-    "AggConfig", "AGGREGATORS", "AttrPlan", "Votes", "eval_labels", "sort_votes",
-    "group_votes", "score_and_plan", "aggregate_votes", "aggregate_votes_spark",
+    "AggConfig", "AGGREGATORS", "AttrPlan", "VoteMatrix", "eval_labels",
+    "score_and_plan", "aggregate_votes", "aggregate_votes_spark",
 ]

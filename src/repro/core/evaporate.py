@@ -10,7 +10,6 @@ re-synthesizing anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -20,7 +19,7 @@ from repro.core.schema import (N_SCHEMA_SAMPLE, SchemaResult, sample_doc_ids,
                                synthesize_schema)
 from repro.core.synthesis import Candidate, generate_candidates
 from repro.core.execute import run_functions
-from repro.lakes.base import DataLake, rows_for_docs
+from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 
@@ -116,22 +115,19 @@ def finish_code_plus(
     cfg = agg.AGGREGATORS[aggregator]
     ledger = TokenLedger().merge(art.ledger)
 
-    votes = agg.sort_votes(art.votes_all, list(art.lake.docs.doc_id), art.candidates)
+    votes = agg.VoteMatrix.build(art.votes_all, list(art.lake.docs.doc_id),
+                                 [c.fid for c in art.candidates])
     plans: dict[str, agg.AttrPlan] = {}
-    for a, votes_a in agg.group_votes(votes, art.attrs):
-        plan = agg.score_and_plan(a, art.candidates, art.labels[a], votes_a, cfg)
+    for a in art.attrs:
+        plan = agg.score_and_plan(a, art.candidates, art.labels[a], votes, cfg)
         if plan.alive:
-            # the first 5 non-empty kept values, in (doc, candidate) order
-            keep = set(plan.kept)
-            sample_vals = list(islice(
-                (x for v in votes_a.values() for f, x in v.items() if x and f in keep), 5))
-            ok, t = art.llm.validate_attribute(a, sample_vals)
+            ok, t = art.llm.validate_attribute(a, votes.sample(plan.kept, 5))
             ledger.add("validation", t)
             if not ok:
                 plan.kept = []
         plans[a] = plan
 
-    table = agg.aggregate_votes(rows_for_docs(votes, art.doc_ids), plans)
+    table = agg.aggregate_votes(votes.select(art.doc_ids), plans)
     return RunResult(
         table=table, attrs=[a for a in art.attrs if plans[a].alive],
         ledger=ledger, schema=art.schema, plans=plans,

@@ -4,12 +4,11 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.aggregate import (AGGREGATORS, AggConfig, AttrPlan, _top_b,
+from repro.core.aggregate import (AGGREGATORS, AggConfig, AttrPlan, VoteMatrix,
                                   aggregate_votes, aggregate_votes_spark,
-                                  eval_labels, group_votes, score_and_plan,
-                                  sort_votes)
+                                  eval_labels, score_and_plan)
 from repro.core.synthesis import Candidate
-from repro.core.ws import B
+from repro.core.ws import B, top_b
 from repro.llm.mock_llm import MockLLM
 from repro.llm.tokens import TokenLedger
 from repro.oracle import assert_equivalent
@@ -23,19 +22,31 @@ def _votes(rows):
     return pd.DataFrame(rows, columns=["doc_id", "attribute", "fid", "value"])
 
 
+def _matrix(votes, docs=(), fids=()):
+    """A votes frame's ``VoteMatrix``: a row per doc and a column per fid
+    of the frame, in first-seen order, then of ``docs`` and ``fids``."""
+    rows, cols = dict.fromkeys([*votes.doc_id, *docs]), dict.fromkeys([*votes.fid, *fids])
+    return VoteMatrix.build(votes, list(rows), list(cols))
+
+
+def _driver_vote(votes, plans):
+    """``aggregate_votes`` over a votes frame, with a column for every
+    kept fid, as a run has one for every candidate."""
+    kept = [f for p in plans.values() for f in p.kept]
+    return aggregate_votes(_matrix(votes, fids=kept), plans)
+
+
 def _plan(cands, rows, labels, cfg):
-    """``score_and_plan`` over attribute "a"'s vote rows, grouped the way
-    ``finish_code_plus`` groups them."""
-    docs = list(dict.fromkeys(r[0] for r in rows))
-    [(_, votes)] = group_votes(sort_votes(_votes(rows), docs, cands), ["a"])
-    return score_and_plan("a", cands, labels, votes, cfg)
+    """``score_and_plan`` over attribute "a"'s vote rows, as a matrix
+    whose rows cover the D_eval docs, as ``finish_code_plus`` builds it."""
+    return score_and_plan("a", cands, labels, _matrix(_votes(rows), labels), cfg)
 
 
 # Step 7 both ways, each returning a pandas (doc_id, attribute, value) table
 VOTES = {
     "spark": lambda spark, votes, plans:
         aggregate_votes_spark(spark, spark.createDataFrame(votes), plans).toPandas(),
-    "driver": lambda spark, votes, plans: aggregate_votes(votes, plans),
+    "driver": lambda spark, votes, plans: _driver_vote(votes, plans),
 }
 each_vote = pytest.mark.parametrize("vote", list(VOTES.values()), ids=list(VOTES))
 
@@ -125,6 +136,26 @@ class TestScoreAndPlan:
         rows = [(f"d{i}", "a", "f1", "wrong") for i in range(5)]
         plan = _plan(cands, rows, labels, AGGREGATORS["ws_abstain_filter"])
         assert not plan.alive
+
+
+class TestVoteMatrix:
+    def test_sample_reads_rows_then_candidates(self):
+        """The validation sample is the first non-empty kept values, doc
+        by doc, each doc's in candidate order, whatever order the plan
+        keeps the functions in."""
+        rows = [("d1", "a", "f1", ""), ("d1", "a", "f2", "x1"), ("d1", "a", "f3", "y1"),
+                ("d2", "a", "f1", "z2"), ("d2", "a", "f2", "x2"), ("d2", "a", "f3", "")]
+        m = _matrix(_votes(rows))
+        assert m.sample(["f3", "f1"], 5) == ["y1", "z2"]
+        assert m.sample(["f3", "f2", "f1"], 3) == ["x1", "y1", "z2"]
+
+
+def _top_b(votes_for_doc, b):
+    """``top_b`` over one doc's ``{fid: value}`` votes, as a one-row
+    matrix, back to the ``{fid: value}`` votes it keeps."""
+    m = _matrix(_votes([("d", "a", f, v) for f, v in votes_for_doc.items()]))
+    [row] = top_b(m.codes, b)
+    return {f: m.values[c] for f, c in zip(m.fids, row) if c >= 0}
 
 
 class TestTopB:
@@ -267,6 +298,26 @@ class TestSparkAggregation:
             votes=votes_pd, weights=weights_pd,
         )
 
+    @each_vote
+    def test_ties_break_in_utf8_byte_order(self, spark, vote):
+        """Equal counts and scores go to the first value in Spark's UTF-8
+        byte order, which the driver's code order follows, whichever
+        function voted it: "z" beats "é", and "" beats "a", which leaves
+        the cell empty. In bucketing too: among five single votes "é" is
+        fifth, so heavy's "é" drops and "a" wins; among four it is fourth
+        and stays, so heavy's "é" wins."""
+        weights = {"f1": 1.0, "f2": 1.0, "f3": 1.0, "f4": 1.0, "heavy": 5.0}
+        rows = [("d1", "a", "f1", "é"), ("d1", "a", "f2", "z"),
+                ("d2", "a", "f1", "z"), ("d2", "a", "f2", "é"),
+                ("d3", "a", "f1", "a"), ("d3", "a", "f2", ""),
+                ("d4", "a", "f1", ""), ("d4", "a", "f2", "a")]
+        rows += [("d5", "a", f, v) for f, v in zip(weights, ["a", "b", "c", "z", "é"])]
+        rows += [("d6", "a", f, v) for f, v in zip(["f1", "heavy", "f2", "f3"],
+                                                   ["a", "é", "b", "z"])]
+        plans = {"a": AttrPlan("a", 0.0, {}, list(weights), weights, False)}
+        out = vote(spark, _votes(rows), plans)
+        assert dict(zip(out.doc_id, out.value)) == {"d1": "z", "d2": "z", "d5": "a", "d6": "é"}
+
     @pytest.mark.parametrize("vote", [
         lambda spark, votes, plans: aggregate_votes_spark(
             spark, spark.createDataFrame(votes).coalesce(1), plans).toPandas(),
@@ -275,15 +326,16 @@ class TestSparkAggregation:
     def test_weights_sum_in_row_order(self, spark, vote):
         """A cell's weights add one at a time in row order: f1, f2, f3 sum
         0.1 + 0.2 + 0.3 to just above heavy's 0.6, so "b" beats "a",
-        which the reverse order would tie (and "a" would win by value).
-        In Spark a doc's votes come from one partition, as
-        ``run_functions`` gives them."""
+        which the reverse order would tie (and "a" would win by value),
+        whatever order the plan keeps the functions in. In Spark a doc's
+        votes come from one partition, as ``run_functions`` gives them."""
         weights = {"f1": 0.1, "f2": 0.2, "f3": 0.3, "heavy": 0.6}
         assert weights["f1"] + weights["f2"] + weights["f3"] > weights["heavy"] \
             == weights["f3"] + weights["f2"] + weights["f1"]
         rows = [("d1", "a", f, "a" if f == "heavy" else "b") for f in weights]
-        plans = {"a": AttrPlan("a", 1.0, {}, list(weights), weights, True)}
-        assert vote(spark, _votes(rows), plans).value.tolist() == ["b"]
+        for kept in (list(weights), list(weights)[::-1]):  # kept order is not row order
+            plans = {"a": AttrPlan("a", 1.0, {}, kept, weights, True)}
+            assert vote(spark, _votes(rows), plans).value.tolist() == ["b"], kept
 
     def test_one_shuffle(self, spark):
         """The weight table is broadcast into the join, and the vote's
@@ -325,7 +377,7 @@ class TestDriverVote:
     ], ids=["no_votes", "no_alive_plan"])
     def test_empty_table_has_view_columns(self, rows, kept):
         plans = {"a": AttrPlan("a", 1.0, {}, kept, {f: 1.0 for f in kept}, True)}
-        out = aggregate_votes(_votes(rows), plans)
+        out = _driver_vote(_votes(rows), plans)
         assert out.empty and list(out.columns) == ["doc_id", "attribute", "value"]
 
 

@@ -168,16 +168,21 @@ class TestVoteRowOrderInvariance:
             want.table.sort_values(key).reset_index(drop=True))
 
     def test_vote_sums_in_doc_candidate_order(self, spark, fda_art, monkeypatch):
-        """A cell's weights add in the order the vote reads its rows, so
-        the vote reads (doc, candidate) order, as Spark sums, whatever
-        order the votes were collected in."""
+        """A cell's weights add in the order of the vote matrix's columns,
+        so the vote reads a matrix in (doc, candidate) order, as Spark
+        sums, whatever order the votes were collected in."""
         seen, vote = [], agg.aggregate_votes
         monkeypatch.setattr(agg, "aggregate_votes",
                             lambda votes, plans: seen.append(votes) or vote(votes, plans))
-        art = replace(fda_art, votes_all=fda_art.votes_all.iloc[::-1].reset_index(drop=True))
-        evaporate.finish_code_plus(spark, art)
-        want = fda_art.votes_all  # as run_functions collects: lake docs, then candidates
-        assert list(zip(seen[0].doc_id, seen[0].fid)) == list(zip(want.doc_id, want.fid))
+        collected = fda_art.votes_all  # as run_functions collects: lake docs, then candidates
+        for votes_all in (collected, collected.iloc[::-1].reset_index(drop=True)):
+            evaporate.finish_code_plus(spark, replace(fda_art, votes_all=votes_all))
+        want, got = seen
+        assert list(want.values[want.codes.ravel()]) == list(collected.value)
+        assert list(got.doc_ids) == list(want.doc_ids)
+        assert list(got.fids) == list(want.fids)
+        assert list(got.values) == list(want.values)
+        assert (got.codes == want.codes).all()
 
 
 class TestDriverVoteEqualsSparkVote:

@@ -2,9 +2,25 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.ws import N_ITER, LabelModel, _clip, _log_odds, fit_label_model
+
+
+def fit_dicts(votes, fids):
+    """``fit_label_model`` over per-doc ``{fid: value}`` dicts (abstentions
+    are absent keys): a row per doc, ``fids``' columns then any other
+    voter's, values coded in sorted order."""
+    voters = fids + sorted({f for v in votes.values() for f in v} - set(fids))
+    values = sorted({x for v in votes.values() for x in v.values()})
+    code = {x: i for i, x in enumerate(values)}
+    codes = np.full((len(votes), len(voters)), -1, dtype=np.int32)
+    for i, v in enumerate(votes.values()):
+        for j, f in enumerate(voters):
+            if f in v:
+                codes[i, j] = code[v[f]]
+    return fit_label_model(codes, fids)
 
 
 def synthetic_votes(n_docs=60, good_acc=0.9, bad_acc=0.2):
@@ -28,18 +44,18 @@ def synthetic_votes(n_docs=60, good_acc=0.9, bad_acc=0.2):
 class TestFitLabelModel:
     def test_good_functions_get_higher_accuracy(self):
         votes, _ = synthetic_votes()
-        model = fit_label_model(votes, ["good1", "good2", "bad"])
+        model = fit_dicts(votes, ["good1", "good2", "bad"])
         assert model.accuracies["good1"] > model.accuracies["bad"]
         assert model.accuracies["good2"] > model.accuracies["bad"]
 
     def test_weights_ordered_like_accuracies(self):
         votes, _ = synthetic_votes()
-        model = fit_label_model(votes, ["good1", "good2", "bad"])
+        model = fit_dicts(votes, ["good1", "good2", "bad"])
         assert model.weight("good1") > model.weight("bad")
 
     def test_weighted_vote_beats_bad_function(self):
         votes, truth = synthetic_votes(good_acc=0.75, bad_acc=0.1)
-        model = fit_label_model(votes, ["good1", "good2", "bad"])
+        model = fit_dicts(votes, ["good1", "good2", "bad"])
         # inference: weighted vote per doc
         correct = 0
         for d, v in votes.items():
@@ -51,23 +67,23 @@ class TestFitLabelModel:
         assert correct / len(votes) > 0.8
 
     def test_empty_votes(self):
-        model = fit_label_model({}, ["f1"])
+        model = fit_dicts({}, ["f1"])
         assert model.accuracies["f1"] == pytest.approx(0.7)
 
     def test_abstentions_are_absent_keys(self):
         votes = {"d1": {"f1": "x"}, "d2": {}}  # f1 abstains on d2
-        model = fit_label_model(votes, ["f1", "f2"])
+        model = fit_dicts(votes, ["f1", "f2"])
         assert 0.05 <= model.accuracies["f1"] <= 0.95
 
     def test_deterministic(self):
         votes, _ = synthetic_votes()
-        a = fit_label_model(votes, ["good1", "good2", "bad"]).accuracies
-        b = fit_label_model(votes, ["good1", "good2", "bad"]).accuracies
+        a = fit_dicts(votes, ["good1", "good2", "bad"]).accuracies
+        b = fit_dicts(votes, ["good1", "good2", "bad"]).accuracies
         assert a == b
 
     def test_accuracies_clipped(self):
         votes = {f"d{i}": {"f1": "same"} for i in range(10)}
-        model = fit_label_model(votes, ["f1"])
+        model = fit_dicts(votes, ["f1"])
         assert model.accuracies["f1"] <= 0.95
 
 
@@ -114,7 +130,7 @@ class TestMatchesReferenceLoop:
             for i in range(rng.randint(0, 30)):
                 v = {f: rng.choice(values) for f in voters if rng.random() < 0.6}
                 votes[f"d{i}"] = dict(sorted(v.items(), key=lambda _: rng.random()))
-            got = fit_label_model(votes, fids).accuracies
+            got = fit_dicts(votes, fids).accuracies
             assert got == reference_fit(votes, fids), seed
 
 
