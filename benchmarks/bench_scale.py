@@ -12,9 +12,10 @@ the pipeline twice. The first, cold run pays one-time costs (Python
 workers, any per-lake Spark state); the second, warm run is the steady
 state. A run records wall seconds, LLM tokens and output rows; the process
 records the lake build time and its peak driver RSS (Python only; the JVM
-is a separate process). A point keeps every process's record and the
-medians of ``cold_s``, ``warm_s`` and ``peak_rss_mb``; its tokens and rows
-must be the same in every run. The results go under ``--label`` in the
+is a separate process), then the lake's text size, read from the docs
+frame the runs cached on the executors. A point keeps every process's
+record and the medians of ``cold_s``, ``warm_s`` and ``peak_rss_mb``; its
+tokens and rows must be the same in every run. The results go under ``--label`` in the
 output file, next to the labels already there, so one file holds a before
 and an after.
 
@@ -51,8 +52,11 @@ def one(setting: str, n_docs: int, pipeline: str) -> dict:
     os.environ["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     os.environ.setdefault("SPARK_DRIVER_MEM", DRIVER_MEM)
     import conftest  # noqa: F401  (sets PYSPARK_SUBMIT_ARGS before pyspark loads)
+    from pyspark.sql import functions as F
+
     from jobs._common import build_session
     from repro.core import direct, evaporate
+    from repro.core.execute import docs_frame
     from repro.lakes import registry
 
     spark = build_session("bench-scale")
@@ -60,7 +64,6 @@ def one(setting: str, n_docs: int, pipeline: str) -> dict:
     t0 = time.perf_counter()
     lake = registry.make_lake(setting, n_docs)
     out = {"setting": setting, "n_docs": n_docs, "pipeline": pipeline,
-           "text_mb": round(lake.docs.text.str.len().sum() / 1e6, 1),
            "lake_build_s": round(time.perf_counter() - t0, 2)}
     for run in ("cold", "warm"):
         t0 = time.perf_counter()
@@ -72,6 +75,9 @@ def one(setting: str, n_docs: int, pipeline: str) -> dict:
         out[f"{run}_tokens"] = int(res.tokens)
         out[f"{run}_rows"] = len(res.table)
     out["peak_rss_mb"] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    # the text stays on the executors: its size is read from the cached frame
+    chars = docs_frame(spark, lake).select(F.sum(F.length("text"))).first()[0]
+    out["text_mb"] = round(chars / 1e6, 1)
     spark.stop()
     return out
 

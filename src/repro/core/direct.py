@@ -20,7 +20,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.chunk import split_chunks
 from repro.core.execute import map_docs
-from repro.lakes.base import DataLake, rows_for_docs
+from repro.lakes.base import DataLake
 from repro.llm.mock_llm import MockLLM
 from repro.util import normalize_attr
 
@@ -35,6 +35,11 @@ class DirectResult:
     ranked_attrs: list[str]  # all extracted attributes, frequency-ranked
     tokens: int  # total LLM tokens processed
     n_docs: int
+
+
+def _n_docs(lake: DataLake, doc_ids: list[str] | None) -> int:
+    """How many of the lake's docs ``doc_ids`` selects (all for None)."""
+    return lake.n_docs if doc_ids is None else len(set(doc_ids).intersection(lake.doc_ids))
 
 
 def openie_doc(llm: MockLLM, doc_id: str, text: str) -> tuple[dict[str, str], int]:
@@ -88,7 +93,7 @@ def run_direct(
         table=table[["doc_id", "attribute", "value"]],
         ranked_attrs=ranked,
         tokens=int(raw.tokens.sum()),
-        n_docs=len(rows_for_docs(lake.docs, doc_ids)),
+        n_docs=_n_docs(lake, doc_ids),
     )
 
 
@@ -117,5 +122,5 @@ def run_closed_direct(
         table=out[["doc_id", "attribute", "value"]],
         ranked_attrs=attrs_b,
         tokens=int(out.tokens.sum()),
-        n_docs=len(rows_for_docs(lake.docs, doc_ids)),
+        n_docs=_n_docs(lake, doc_ids),
     )

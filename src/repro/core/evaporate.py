@@ -115,7 +115,7 @@ def finish_code_plus(
     cfg = agg.AGGREGATORS[aggregator]
     ledger = TokenLedger().merge(art.ledger)
 
-    votes = agg.VoteMatrix.build(art.votes_all, list(art.lake.docs.doc_id),
+    votes = agg.VoteMatrix.build(art.votes_all, art.lake.doc_ids,
                                  [c.fid for c in art.candidates])
     plans: dict[str, agg.AttrPlan] = {}
     for a in art.attrs:

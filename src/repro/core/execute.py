@@ -1,9 +1,11 @@
 """Per-document Spark passes over the lake, and scale-out function execution.
 
 ``docs_frame`` builds each lake's ``(doc_id, text)`` frame once per lake
-and live SparkContext and persists it: ``defaultParallelism`` partitions
-whatever the text's byte size, each a contiguous range of docs in lake
-order. The frame is unpersisted when its lake is garbage-collected.
+and live SparkContext and persists it: the executors render the text from
+the lake's ``LakeSpec`` (``lakes.base.render_doc``), so the driver never
+holds it. The frame has ``defaultParallelism`` partitions whatever the
+text's byte size, each a contiguous range of docs in lake order, and is
+unpersisted when its lake is garbage-collected.
 ``map_docs`` runs a per-document row function over that frame (a
 ``doc_ids`` selection is a filter on it) in a ``mapInPandas`` UDF:
 function execution here, Direct OpenIE and ClosedIE in ``direct.py``. Function
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Callable, Iterable
-from functools import reduce
 
 import pandas as pd
 from pyspark import SparkContext
@@ -27,7 +28,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.types import StructType
 
 from repro.core.synthesis import Candidate, compile_candidate
-from repro.lakes.base import DataLake
+from repro.lakes.base import DataLake, render_doc
 
 DOCS_SCHEMA = "doc_id string, text string"
 VOTES_SCHEMA = "doc_id string, attribute string, fid string, value string"
@@ -50,27 +51,33 @@ def _live(sc: SparkContext) -> bool:
 
 
 def _unpersist(sc: SparkContext, frame: DataFrame) -> None:
-    """A lake's finalizer: unpersist its frame unless ``sc`` has stopped."""
-    if _live(sc):
+    """A lake's finalizer: unpersist its frame unless ``sc`` has stopped
+    or a live lake's frame has the same plan. Lakes of equal specs render
+    equal plans, and Spark caches a plan once: they share one cached
+    frame, kept until the last of them goes."""
+    if _live(sc) and not any(s is sc and f.sameSemantics(frame) for s, f in _FRAMES.values()):
         frame.unpersist()
 
 
 def docs_frame(spark: SparkSession, lake: DataLake) -> DataFrame:
-    """The lake's persisted ``(doc_id, text)`` frame, built on its first
-    pass under this SparkContext. Each of ``_n_partitions`` contiguous
-    slices of the docs gives at least one partition of its own (above
-    48 MiB one ``createDataFrame`` would give one per 10,000 rows), and
-    ``coalesce`` merges neighbours only, so the frame has exactly that
-    many partitions and reads in lake order without a shuffle."""
+    """The lake's persisted ``(doc_id, text)`` frame, rendered on the
+    executors on its first pass under this SparkContext. ``spark.range``
+    splits the doc indices into ``_n_partitions`` contiguous ranges, so
+    the frame has exactly that many partitions and reads in lake order."""
     sc = spark.sparkContext
     hit = _FRAMES.get(lake)
     if hit is not None and hit[0] is sc and _live(sc):
         return hit[1]
-    docs, n = lake.docs[["doc_id", "text"]], _n_partitions(spark)
-    bounds = [len(docs) * i // n for i in range(n + 1)]
-    slices = [spark.createDataFrame(docs.iloc[a:b], DOCS_SCHEMA)
-              for a, b in zip(bounds, bounds[1:])]
-    frame = reduce(DataFrame.union, slices).coalesce(n).persist()
+    spec = lake.spec  # the closure ships the spec, never the lake
+
+    def render(batches):
+        for batch in batches:
+            index = batch.id.tolist()
+            yield pd.DataFrame({"doc_id": [spec.doc_id(i) for i in index],
+                                "text": [render_doc(spec, i) for i in index]})
+
+    frame = spark.range(lake.n_docs, numPartitions=_n_partitions(spark)) \
+        .mapInPandas(render, DOCS_SCHEMA).persist()
     _FRAMES[lake] = (sc, frame)
     # not at interpreter exit: the JVM may be gone by then
     weakref.finalize(lake, _unpersist, sc, frame).atexit = False

@@ -30,7 +30,7 @@ class SchemaResult:
 
 def sample_doc_ids(lake: DataLake, k: int) -> list[str]:
     """Deterministic evenly-spaced sample of k document ids."""
-    ids = sorted(lake.docs.doc_id)
+    ids = sorted(lake.doc_ids)
     if k >= len(ids):
         return ids
     step = len(ids) / k

@@ -103,7 +103,7 @@ def table1(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
         closed = evaporate.run_code_plus(
             spark, lake, MODEL, cfg.seed, given_attrs=lake.gold_attrs)
         cf1 = closed_text_f1(
-            closed.table, lake.gold, lake.gold_attrs, sorted(lake.docs.doc_id))
+            closed.table, lake.gold, lake.gold_attrs, sorted(lake.doc_ids))
         # OpenIE: end-to-end (schema identified by the system)
         opened = evaporate.run_code_plus(spark, lake, MODEL, cfg.seed)
         prf = pair_f1(opened.table, lake.gold)
@@ -135,7 +135,7 @@ def table2(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
             return {"closed": 100 * closed_text_f1(closed, gold, lake.gold_attrs, ids),
                     "open": 100 * pair_f1(opened, gold).f1}
 
-        all_ids = sorted(lake.docs.doc_id)
+        all_ids = sorted(lake.doc_ids)
         # in-domain trained DOM baseline (test split only)
         preds, _, test_ids = run_dom_baseline(lake)
         dom = scores(preds, preds, rows_for_docs(lake.gold, test_ids), sorted(test_ids))
@@ -262,7 +262,7 @@ def table6(spark: SparkSession, cfg: HarnessConfig | None = None) -> pd.DataFram
         preds = run_qa_span_baseline(lake, cfg.seed)
         return {"n_attrs": len(lake.gold_attrs),
                 "closed_f1": 100 * closed_text_f1(preds, lake.gold, lake.gold_attrs,
-                                                  sorted(lake.docs.doc_id))}
+                                                  sorted(lake.doc_ids))}
 
     rows = []
     for group in cfg.groups:

@@ -1,13 +1,21 @@
 """Core dataclasses and rendering for synthetic heterogeneous data lakes.
 
 A *lake* is a set of semi-structured documents (TXT or HTML) plus the
-manually-curated ground truth the paper evaluates against:
+manually-curated ground truth the paper evaluates against. ``build_lake``
+computes on the driver only what is small:
 
-- ``docs``:  pandas frame ``(doc_id, variant, text)``
+- ``doc_ids``: the documents, in lake order
 - ``gold``:  long frame ``(doc_id, attribute, value)`` — one row per
   attribute *present* in the document (coverage < 1 drops rows)
+- ``facts``: ``gold`` plus the distractor fields' rows
 - ``gold_attrs``: canonical attribute names, ordered by importance
   (coverage-ranked, mirroring the paper's "head attributes first")
+
+A document's text is a pure function of the lake's ``LakeSpec`` and its
+index, ``render_doc(spec, i)``. Spark executors render the lake's docs
+frame from the spec (``execute.docs_frame``); the driver renders only the
+docs it reads (``DataLake.doc_text``), or the whole lake on demand
+(``DataLake.docs``) for the baselines and tests.
 
 Heterogeneity is modelled with *variants*: each document is rendered by
 one of the lake's formatting variants, which differ in the surface label
@@ -98,9 +106,45 @@ class Variant:
     line_fmt_overrides: dict[str, str] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class LakeSpec:
+    """Everything a lake is built from. Picklable, so Spark executors
+    render the docs from it (``execute.docs_frame``) and the text never
+    passes through the driver. Doc ``i`` of the lake is ``doc_id(i)``."""
+
+    name: str
+    topic: str
+    fmt: str  # "txt" | "html"
+    attrs: list[AttrSpec]
+    variants: list[Variant]
+    n_docs: int
+    doc_tokens: int
+    difficulty: float  # [0,1] scales direct-LLM noise (per-lake hardness)
+    fn_fragility: float  # [0,1] extra probability a synthesized fn is brittle
+    header: str = ""
+    footer: str = ""
+    interleave_filler_tokens: int = 0
+    distractors: list[AttrSpec] = field(default_factory=list)
+
+    def doc_id(self, i: int) -> str:
+        return f"{self.name}-{i:04d}"
+
+
+class _Texts(dict):
+    """``doc_id -> text``, rendering each doc on its first read."""
+
+    def __init__(self, spec: LakeSpec, doc_ids: list[str]) -> None:
+        super().__init__()
+        self._spec, self._index = spec, {d: i for i, d in enumerate(doc_ids)}
+
+    def __missing__(self, doc_id: str) -> str:
+        text = self[doc_id] = render_doc(self._spec, self._index[doc_id])
+        return text
+
+
 @dataclass(eq=False)
 class DataLake:
-    """A fully materialized synthetic lake + ground truth.
+    """A synthetic lake's ground truth, and its text on demand.
 
     Lakes compare and hash by identity: per-lake caches, such as
     ``execute.docs_frame``'s Spark frame, are keyed on the lake object.
@@ -114,29 +158,37 @@ class DataLake:
     number of attributes that maximizes the Pair F1 score").
     """
 
-    name: str
-    topic: str
-    fmt: str  # "txt" | "html"
-    docs: pd.DataFrame
+    spec: LakeSpec
+    doc_ids: list[str]  # lake order
     gold: pd.DataFrame
     gold_attrs: list[str]
     aliases: dict[str, str]  # normalized surface form -> canonical attr
-    difficulty: float  # [0,1] scales direct-LLM noise (per-lake hardness)
-    fn_fragility: float  # [0,1] extra probability a synthesized fn is brittle
-    facts: pd.DataFrame | None = None  # gold + distractor rows
+    facts: pd.DataFrame  # gold + distractor rows
 
-    def __post_init__(self) -> None:
-        if self.facts is None:
-            self.facts = self.gold
+    @property
+    def name(self) -> str:
+        return self.spec.name
 
     @property
     def n_docs(self) -> int:
-        return len(self.docs)
+        return len(self.doc_ids)
 
     @cached_property
     def doc_text(self) -> dict[str, str]:
-        """``doc_id -> text``, built once per lake (driver-side only)."""
-        return dict(zip(self.docs.doc_id, self.docs.text))
+        """``doc_id -> text`` on the driver, each doc rendered on its first
+        read: the pipelines read only the few docs they sample."""
+        return _Texts(self.spec, self.doc_ids)
+
+    @cached_property
+    def docs(self) -> pd.DataFrame:
+        """``(doc_id, variant, text)`` of every doc, rendered on the driver
+        on first use, for the baselines and tests that read the whole lake.
+        The pipelines read ``execute.docs_frame`` instead."""
+        spec = self.spec
+        return pd.DataFrame(
+            [(d, _pick_variant(spec.variants, spec.name, d).vid, render_doc(spec, i))
+             for i, d in enumerate(self.doc_ids)],
+            columns=["doc_id", "variant", "text"])
 
 
 def rows_for_docs(frame: pd.DataFrame, doc_ids: Iterable[str] | None) -> pd.DataFrame:
@@ -208,93 +260,78 @@ def _pick_variant(variants: list[Variant], lake: str, doc_id: str) -> Variant:
     return variants[-1]
 
 
-def render_lake(
-    *,
-    name: str,
-    topic: str,
-    fmt: str,
-    attrs: list[AttrSpec],
-    variants: list[Variant],
-    n_docs: int,
-    doc_tokens: int,
-    difficulty: float,
-    fn_fragility: float,
-    header: str = "",
-    footer: str = "",
-    interleave_filler_tokens: int = 0,
-    distractors: list[AttrSpec] | None = None,
-) -> DataLake:
-    """Materialize a lake: render each doc from its variant + gold values.
+def _facts(spec: LakeSpec, doc_id: str) -> list[tuple[AttrSpec, str]]:
+    """The attributes ``doc_id`` carries and their values, gold attributes
+    then distractors, in spec order."""
+    return [(a, gen_value(a, spec.name, doc_id)) for a in [*spec.attrs, *spec.distractors]
+            if hash_uniform("coverage", spec.name, doc_id, a.name) < a.coverage]
+
+
+def render_doc(spec: LakeSpec, i: int) -> str:
+    """Doc ``i``'s text, rendered from its variant and its facts.
 
     Attribute lines are interleaved with filler prose; total doc size is
-    padded to ~``doc_tokens`` tokens. The gold table records exactly the
-    values embedded in the text (the reproduction's "manually curated"
-    ground truth — by construction it is perfectly faithful).
+    padded to ~``doc_tokens`` tokens. Every draw is keyed on the doc id,
+    so any process renders the same text.
     """
-    distractors = distractors or []
-    all_specs = list(attrs) + list(distractors)
-    distractor_names = {a.name for a in distractors}
-    doc_rows, gold_rows, fact_rows = [], [], []
-    for i in range(n_docs):
-        doc_id = f"{name}-{i:04d}"
-        v = _pick_variant(variants, name, doc_id)
-        parts: list[str] = []
-        if header:
-            parts.append(header.format(doc_id=doc_id))
-        present: list[tuple[str, str]] = []
-        spec_of = {a.name: a for a in all_specs}
-        for a in all_specs:
-            if hash_uniform("coverage", name, doc_id, a.name) < a.coverage:
-                val = gen_value(a, name, doc_id)
-                present.append((a.name, val))
-                fact_rows.append((doc_id, a.name, val))
-                if a.name not in distractor_names:
-                    gold_rows.append((doc_id, a.name, val))
-        pad_each = interleave_filler_tokens
-        for j, (attr, val) in enumerate(present):
-            label = v.labels.get(attr, attr)
-            fmt_line = v.line_fmt_overrides.get(attr, v.line_fmt)
-            spec = spec_of[attr]
-            doc_val = val
-            if spec.multiline_rate and hash_uniform(
-                    "multiline", name, doc_id, attr) < spec.multiline_rate:
-                doc_val = val.replace(", ", ",\n\t")
-            if spec.link_rate and fmt == "html" and hash_uniform(
-                    "link", name, doc_id, attr) < spec.link_rate:
-                slug = val.replace(" ", "_")
-                doc_val = f'<a href="/wiki/{slug}">{val}</a>'
-            parts.append(fmt_line.format(label=label, value=doc_val))
-            if pad_each:
-                parts.append(filler(pad_each, name, doc_id, j))
-        if footer:
-            parts.append(footer.format(doc_id=doc_id))
-        body = "\n".join(parts)
-        # pad to target size (tokens ~ chars/4)
-        deficit = doc_tokens - len(body) // 4
-        if deficit > 40:
-            body = body + "\n" + filler(deficit, name, doc_id, "pad")
-        doc_rows.append((doc_id, v.vid, body))
+    name, doc_id = spec.name, spec.doc_id(i)
+    v = _pick_variant(spec.variants, name, doc_id)
+    parts: list[str] = []
+    if spec.header:
+        parts.append(spec.header.format(doc_id=doc_id))
+    for j, (a, val) in enumerate(_facts(spec, doc_id)):
+        label = v.labels.get(a.name, a.name)
+        fmt_line = v.line_fmt_overrides.get(a.name, v.line_fmt)
+        doc_val = val
+        if a.multiline_rate and hash_uniform(
+                "multiline", name, doc_id, a.name) < a.multiline_rate:
+            doc_val = val.replace(", ", ",\n\t")
+        if a.link_rate and spec.fmt == "html" and hash_uniform(
+                "link", name, doc_id, a.name) < a.link_rate:
+            slug = val.replace(" ", "_")
+            doc_val = f'<a href="/wiki/{slug}">{val}</a>'
+        parts.append(fmt_line.format(label=label, value=doc_val))
+        if spec.interleave_filler_tokens:
+            parts.append(filler(spec.interleave_filler_tokens, name, doc_id, j))
+    if spec.footer:
+        parts.append(spec.footer.format(doc_id=doc_id))
+    body = "\n".join(parts)
+    # pad to target size (tokens ~ chars/4)
+    deficit = spec.doc_tokens - len(body) // 4
+    if deficit > 40:
+        body = body + "\n" + filler(deficit, name, doc_id, "pad")
+    return body
+
+
+def build_lake(spec: LakeSpec) -> DataLake:
+    """The lake of ``spec`` without its text: doc ids, facts and gold.
+
+    The gold table records exactly the values ``render_doc`` embeds in
+    the text (the reproduction's "manually curated" ground truth — by
+    construction it is perfectly faithful).
+    """
+    distractor_names = {a.name for a in spec.distractors}
+    doc_ids = [spec.doc_id(i) for i in range(spec.n_docs)]
+    fact_rows = [(d, a.name, val) for d in doc_ids for a, val in _facts(spec, d)]
+    gold_rows = [r for r in fact_rows if r[1] not in distractor_names]
 
     aliases: dict[str, str] = {}
-    for v in variants:
+    for v in spec.variants:
         for attr, label in v.labels.items():
             aliases[normalize_attr(label)] = attr
-    for a in all_specs:
+    for a in [*spec.attrs, *spec.distractors]:
         aliases.setdefault(normalize_attr(a.name), a.name)
 
     # importance order: coverage-descending, spec order as tiebreak
+    attrs = spec.attrs
     order = sorted(range(len(attrs)), key=lambda i: (-attrs[i].coverage, i))
-    gold_attrs = [attrs[i].name for i in order]
 
+    columns = ["doc_id", "attribute", "value"]
     return DataLake(
-        name=name,
-        topic=topic,
-        fmt=fmt,
-        docs=pd.DataFrame(doc_rows, columns=["doc_id", "variant", "text"]),
-        gold=pd.DataFrame(gold_rows, columns=["doc_id", "attribute", "value"]),
-        gold_attrs=gold_attrs,
+        spec=spec,
+        doc_ids=doc_ids,
+        gold=pd.DataFrame(gold_rows, columns=columns),
+        gold_attrs=[attrs[i].name for i in order],
         aliases=aliases,
-        difficulty=difficulty,
-        fn_fragility=fn_fragility,
-        facts=pd.DataFrame(fact_rows, columns=["doc_id", "attribute", "value"]),
+        facts=pd.DataFrame(fact_rows, columns=columns),
     )

@@ -7,7 +7,7 @@ and Code+ gains nothing from ensembling (header regexes just work).
 """
 from __future__ import annotations
 
-from repro.lakes.base import AttrSpec, DataLake, Variant, render_lake
+from repro.lakes.base import AttrSpec, DataLake, LakeSpec, Variant, build_lake
 
 ATTRS = [
     AttrSpec("message-id", kind="code"),
@@ -52,7 +52,7 @@ _VARIANTS = [
 
 def make_lake(n_docs: int = 100) -> DataLake:
     """Build the Enron email lake with ``n_docs`` documents."""
-    return render_lake(
+    return build_lake(LakeSpec(
         name="enron",
         topic="corporate emails",
         fmt="txt",
@@ -64,4 +64,4 @@ def make_lake(n_docs: int = 100) -> DataLake:
         fn_fragility=0.10,
         footer="\nPlease see the attached schedule and confirm by end of day.\n",
         interleave_filler_tokens=0,
-    )
+    ))

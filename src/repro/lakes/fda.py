@@ -8,7 +8,7 @@ starts with lowercase k in a minority of reports" example.
 """
 from __future__ import annotations
 
-from repro.lakes.base import AttrSpec, DataLake, Variant, render_lake
+from repro.lakes.base import AttrSpec, DataLake, LakeSpec, Variant, build_lake
 
 ATTRS = [
     AttrSpec("510(k) number", kind="code"),
@@ -96,7 +96,7 @@ _VARIANTS = [
 
 def make_lake(n_docs: int = 100) -> DataLake:
     """Build the FDA 510(k) lake with ``n_docs`` documents."""
-    return render_lake(
+    return build_lake(LakeSpec(
         name="fda",
         topic="medical device 510(k) reviews",
         fmt="txt",
@@ -110,4 +110,4 @@ def make_lake(n_docs: int = 100) -> DataLake:
         footer="\nThe review team finds the device substantially equivalent. {doc_id}",
         interleave_filler_tokens=55,
         distractors=DISTRACTORS,
-    )
+    ))

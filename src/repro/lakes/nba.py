@@ -7,7 +7,7 @@ anchors. Two infobox dialects model pre/post wiki-template changes.
 """
 from __future__ import annotations
 
-from repro.lakes.base import AttrSpec, DataLake, Variant, render_lake
+from repro.lakes.base import AttrSpec, DataLake, LakeSpec, Variant, build_lake
 
 ATTRS = [
     AttrSpec("name", kind="name"),
@@ -78,7 +78,7 @@ _VARIANTS = [
 
 def make_lake(n_docs: int = 100) -> DataLake:
     """Build the Wiki NBA lake with ``n_docs`` documents."""
-    return render_lake(
+    return build_lake(LakeSpec(
         name="nba",
         topic="NBA players",
         fmt="html",
@@ -93,4 +93,4 @@ def make_lake(n_docs: int = 100) -> DataLake:
         footer="</table><p>Career summary and season-by-season statistics follow.</p></body></html>",
         interleave_filler_tokens=120,
         distractors=DISTRACTORS,
-    )
+    ))

@@ -13,7 +13,7 @@ leaf text — DOM-leaf baselines cannot reach them; Evaporate can.
 """
 from __future__ import annotations
 
-from repro.lakes.base import AttrSpec, DataLake, Variant, render_lake
+from repro.lakes.base import AttrSpec, DataLake, LakeSpec, Variant, build_lake
 from repro.util import stable_digest
 
 MOVIE_SITES = ["imdb", "rottentomatoes", "metacritic", "allmovie",
@@ -159,7 +159,7 @@ def _site_variants(site: str, attrs: list[AttrSpec], labels: dict[str, list[str]
 def make_movie_lake(site: str, n_docs: int = 100) -> DataLake:
     """Build one SWDE-Movie site lake."""
     assert site in MOVIE_SITES, site
-    return render_lake(
+    return build_lake(LakeSpec(
         name=f"movie-{site}",
         topic="movies",
         fmt="html",
@@ -173,13 +173,13 @@ def make_movie_lake(site: str, n_docs: int = 100) -> DataLake:
         footer="</body></html>",
         interleave_filler_tokens=90,
         distractors=MOVIE_DISTRACTORS,
-    )
+    ))
 
 
 def make_university_lake(site: str, n_docs: int = 100) -> DataLake:
     """Build one SWDE-University site lake."""
     assert site in UNIVERSITY_SITES, site
-    return render_lake(
+    return build_lake(LakeSpec(
         name=f"university-{site}",
         topic="universities",
         fmt="html",
@@ -193,4 +193,4 @@ def make_university_lake(site: str, n_docs: int = 100) -> DataLake:
         footer="</body></html>",
         interleave_filler_tokens=70,
         distractors=UNIVERSITY_DISTRACTORS,
-    )
+    ))

@@ -148,9 +148,9 @@ class MockLLM:
         self.profile = PROFILES[profile]
         self.seed = seed
         self.lake_name = lake.name
-        self.topic = lake.topic
-        self.difficulty = lake.difficulty
-        self.fragility = lake.fn_fragility
+        self.topic = lake.spec.topic
+        self.difficulty = lake.spec.difficulty
+        self.fragility = lake.spec.fn_fragility
         self.aliases = dict(lake.aliases)
         # Each canonical attribute's surface forms, itself included, in the
         # order keyword search and function synthesis try them: longest

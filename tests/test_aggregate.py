@@ -172,46 +172,50 @@ class TestTopB:
 
 
 class TestSparkAggregation:
-    def test_weighted_vote_picks_heavier(self, spark):
-        votes = spark.createDataFrame(_votes([
+    @each_vote
+    def test_weighted_vote_picks_heavier(self, spark, vote):
+        votes = _votes([
             ("d1", "a", "f1", "right"), ("d1", "a", "f2", "wrong"),
             ("d1", "a", "f3", "wrong"),
-        ]))
+        ])
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {"f1": 5.0, "f2": 1.0, "f3": 1.0}, True)}
-        out = aggregate_votes_spark(spark, votes, plans).toPandas()
+        out = vote(spark, votes, plans)
         assert out.value.tolist() == ["right"]
 
-    def test_mv_equal_weights_majority(self, spark):
-        votes = spark.createDataFrame(_votes([
+    @each_vote
+    def test_mv_equal_weights_majority(self, spark, vote):
+        votes = _votes([
             ("d1", "a", "f1", "x"), ("d1", "a", "f2", "x"),
             ("d1", "a", "f3", "y"),
-        ]))
+        ])
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {"f1": 1.0, "f2": 1.0, "f3": 1.0}, True)}
-        out = aggregate_votes_spark(spark, votes, plans).toPandas()
+        out = vote(spark, votes, plans)
         assert out.value.tolist() == ["x"]
 
-    def test_drop_empty_abstains(self, spark):
-        votes = spark.createDataFrame(_votes([
+    @each_vote
+    def test_drop_empty_abstains(self, spark, vote):
+        votes = _votes([
             ("d1", "a", "f1", ""), ("d1", "a", "f2", ""),
             ("d1", "a", "f3", "val"),
-        ]))
+        ])
         plans = {"a": AttrPlan("a", 1.0, {}, ["f1", "f2", "f3"],
                                {f: 1.0 for f in ("f1", "f2", "f3")}, True)}
-        out = aggregate_votes_spark(spark, votes, plans).toPandas()
+        out = vote(spark, votes, plans)
         assert out.value.tolist() == ["val"]
 
-    def test_keep_empty_can_suppress(self, spark):
+    @each_vote
+    def test_keep_empty_can_suppress(self, spark, vote):
         """Low-e regime: empty votes are no-value predictions and can
         outvote a spurious extraction."""
-        votes = spark.createDataFrame(_votes([
+        votes = _votes([
             ("d1", "a", "f1", ""), ("d1", "a", "f2", ""),
             ("d1", "a", "f3", "halluc"),
-        ]))
+        ])
         plans = {"a": AttrPlan("a", 0.0, {}, ["f1", "f2", "f3"],
                                {f: 1.0 for f in ("f1", "f2", "f3")}, False)}
-        out = aggregate_votes_spark(spark, votes, plans).toPandas()
+        out = vote(spark, votes, plans)
         assert out.empty  # "" wins the cell and is not emitted
 
     def test_no_alive_plans_empty_result(self, spark):

@@ -4,7 +4,6 @@ import gc
 from collections import Counter
 from dataclasses import replace
 
-import pandas as pd
 import pytest
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
@@ -14,7 +13,9 @@ from repro.core.direct import run_closed_direct, run_direct
 from repro.core.evaporate import run_code, run_code_plus
 from repro.core.execute import docs_frame, function_rows, run_functions
 from repro.core.synthesis import compile_candidate, generate_candidates
-from repro.lakes.base import DataLake
+from repro.core.schema import N_SCHEMA_SAMPLE
+from repro.lakes import fda, nba, registry
+from repro.lakes.base import DataLake, LakeSpec, Variant, build_lake
 
 
 @pytest.fixture(scope="module")
@@ -146,46 +147,51 @@ def test_empty_doc_selection(spark, fda_lake, fda_cands, lake_pass, columns, exp
     assert {k: getattr(res, k) for k in expect} == expect
 
 
-def _synthetic_lake(n_docs: int, text: str) -> DataLake:
-    empty = pd.DataFrame(columns=["doc_id", "attribute", "value"])
-    docs = pd.DataFrame({"doc_id": [f"big-{i:04d}" for i in range(n_docs)],
-                         "variant": "v", "text": text})
-    return DataLake(name="big", topic="t", fmt="txt", docs=docs, gold=empty,
-                    gold_attrs=[], aliases={}, difficulty=0.0, fn_fragility=0.0)
+def _synthetic_lake(n_docs: int, doc_tokens: int) -> DataLake:
+    """A lake of filler prose only: no attributes, ~4 chars per token."""
+    return build_lake(LakeSpec(
+        name="big", topic="t", fmt="txt", attrs=[], variants=[Variant("v", 1.0, {}, "")],
+        n_docs=n_docs, doc_tokens=doc_tokens, difficulty=0.0, fn_fragility=0.0))
 
 
 class TestDocsFrame:
     """Each lake's docs frame is built once, persisted, lake-ordered and
     unpersisted with its lake."""
 
+    @pytest.mark.parametrize("setting", registry.ALL_SETTINGS)
+    def test_executor_render_equals_driver_render(self, spark, setting):
+        lake = registry.make_lake(setting, 12)
+        frame = docs_frame(spark, lake).toPandas()
+        assert list(frame.doc_id) == list(lake.docs.doc_id) == lake.doc_ids
+        assert list(frame.text) == list(lake.docs.text)  # str equality: byte for byte
+        assert [lake.doc_text[d] for d in lake.doc_ids] == list(lake.docs.text)
+
     def test_over_48_mib_keeps_default_parallelism(self, spark):
-        # 200 docs sharing one 300 KB string: 60 MB of text, above the
-        # 48 MiB where createDataFrame(pandas) used to give one partition
-        lake = _synthetic_lake(200, "x" * 300_000)
-        assert lake.docs.text.str.len().sum() > 48 * 2**20
+        # 200 docs of ~300 KB each: 60 MB of text, above the 48 MiB where
+        # createDataFrame(pandas) gives one partition
+        lake = _synthetic_lake(200, 40_000)
         frame = docs_frame(spark, lake)
+        assert frame.select(F.sum(F.length("text"))).first()[0] > 48 * 2**20
         parallelism = spark.sparkContext.defaultParallelism
         assert frame.rdd.getNumPartitions() == parallelism
         parts = frame.select("doc_id", F.spark_partition_id().alias("part")).toPandas()
-        assert list(parts.doc_id) == list(lake.docs.doc_id)
+        assert list(parts.doc_id) == lake.doc_ids
         assert parts.part.is_monotonic_increasing
         assert parts.part.nunique() == parallelism
 
     def test_built_once_per_lake(self, spark, fda_lake, monkeypatch):
         lake = copy.copy(fda_lake)  # a lake object no earlier test has passed over
-        create, built = SparkSession.createDataFrame, []
+        doc_range, built = SparkSession.range, []
 
-        def spy(self, data, schema=None, *args, **kwargs):
-            if schema == execute.DOCS_SCHEMA:
-                built.append(lake)
-            return create(self, data, schema, *args, **kwargs)
+        def spy(self, *args, **kwargs):  # docs_frame renders over spark.range
+            built.append(lake)
+            return doc_range(self, *args, **kwargs)
 
-        monkeypatch.setattr(SparkSession, "createDataFrame", spy)
+        monkeypatch.setattr(SparkSession, "range", spy)
         first = run_direct(spark, lake)
         second = run_direct(spark, lake)
         run_code_plus(spark, lake)
-        # one build: one createDataFrame per slice
-        assert len(built) == spark.sparkContext.defaultParallelism
+        assert len(built) == 1
         assert first.table.equals(second.table) and first.tokens == second.tokens
 
     def test_each_lake_object_has_its_own_frame(self, spark, fda_lake):
@@ -194,7 +200,7 @@ class TestDocsFrame:
         assert docs_frame(spark, a) is not docs_frame(spark, b)
 
     def test_unpersisted_with_its_lake(self, spark, fda_lake):
-        lake = copy.copy(fda_lake)
+        lake = fda.make_lake(7)  # no other lake has its spec, so none shares its frame
         frame = docs_frame(spark, lake)
         assert frame.storageLevel.useMemory
         del lake
@@ -202,6 +208,17 @@ class TestDocsFrame:
         assert not (frame.storageLevel.useMemory or frame.storageLevel.useDisk)
         for _ in range(8):  # new lakes, some at the freed lake's id
             assert docs_frame(spark, copy.copy(fda_lake)) is not frame
+
+    def test_equal_specs_share_one_cache_until_the_last_lake_goes(self, spark):
+        a, b = fda.make_lake(5), fda.make_lake(5)
+        frame_a, frame_b = docs_frame(spark, a), docs_frame(spark, b)
+        assert frame_a is not frame_b and frame_a.sameSemantics(frame_b)
+        del a
+        gc.collect()
+        assert frame_b.storageLevel.useMemory
+        del b
+        gc.collect()
+        assert not (frame_b.storageLevel.useMemory or frame_b.storageLevel.useDisk)
 
     def test_no_unpersist_after_its_context_stopped(self, spark, fda_lake, monkeypatch):
         lake = copy.copy(fda_lake)
@@ -211,3 +228,20 @@ class TestDocsFrame:
         gc.collect()
         assert frame.storageLevel.useMemory
         frame.unpersist()
+
+
+class TestDriverRenders:
+    """The pipelines render on the driver only the docs they sample; the
+    lake's text is rendered on the executors."""
+
+    def test_code_plus_renders_only_its_samples(self, spark):
+        lake = fda.make_lake(24)  # a fresh lake: nothing rendered yet
+        run_code_plus(spark, lake)
+        assert 0 < len(lake.doc_text) <= N_SCHEMA_SAMPLE
+        assert "docs" not in vars(lake)
+
+    def test_direct_renders_nothing(self, spark):
+        lake = nba.make_lake(12)
+        run_direct(spark, lake)
+        assert len(lake.doc_text) == 0
+        assert "docs" not in vars(lake)
